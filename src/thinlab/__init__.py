@@ -14,7 +14,6 @@ from .schottky import (
 )
 from .symbolic import (
     SymbolicPoint,
-    TransitionStructure,
     birkhoff,
     d_theta,
     enumerate_words,
@@ -27,7 +26,6 @@ from .thermo import (
     ThermoLab,
     assemble_transfer,
     critical_exponent,
-    normalize_potential,
     rpf_solve,
 )
 from .congruence import (

@@ -45,6 +45,14 @@ class RunConfig:
     out_dir: str = "thinlab-out"
 
     def validate(self):
+        for name in ("degree", "depth", "r_prime", "seed", "p", "l"):
+            v = getattr(self, name)
+            if v is None and name in ("p", "l"):
+                continue  # detected or derived when absent
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ConfigParse(f"{name} must be an integer, got {v!r}")
+        if self.degree < 1 or self.depth < 1:
+            raise ConfigParse(f"degree and depth must be >= 1, got {self.degree} and {self.depth}")
         if len(self.q_list) != len(set(self.q_list)):
             raise ConfigParse("q entries must be pairwise distinct")
         for q in self.q_list:

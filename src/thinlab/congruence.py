@@ -120,8 +120,8 @@ class GroupModQ:
         return pos.reshape(flat.shape[:-1])
 
     def reduce(self, m):
-        """Index of an integer MobiusMap reduced mod q."""
-        return int(self.index_of(np.array(m.tuple(), dtype=np.int64)))
+        """Index of an integer MobiusMap reduced mod q (entries of any size)."""
+        return int(self.index_of(np.array([e % self.q for e in m.tuple()], dtype=np.int64)))
 
     def inv_perm(self):
         if self._inv_perm is None:
@@ -129,11 +129,6 @@ class GroupModQ:
             inv = np.stack([e[:, 3], -e[:, 1], -e[:, 2], e[:, 0]], axis=1) % self.q
             self._inv_perm = self.index_of(inv)
         return self._inv_perm
-
-    def mul_table_rows(self, idx):
-        """Products elem_i * elem_j for i in idx (rows) against all j (columns)."""
-        a = self.elems[idx]
-        return self._compose(a[:, None, :], self.elems[None, :, :])
 
     def _perm_cache_cap(self):
         # keep the cache under ~200 MB regardless of group size
@@ -213,17 +208,9 @@ def group_mod_q(q, bad_primes=()):
 def cocycle_mod(model, word, group):
     """Ordered product of per-step cocycle matrices reduced mod q, as an index."""
     word = tuple(word)
-    if len(word) == 0:
-        return group.identity
     if not symbolic.admissible(model.T, word):
         raise InadmissibleWord(f"word {word} is not admissible")
-    mat = np.eye(2, dtype=np.int64)
-    q = group.q
-    for j in word:
-        g = model.gens[j]
-        step = np.array([[g.a, g.b], [g.c, g.d]], dtype=np.int64)
-        mat = (mat @ step) % q
-    return int(group.index_of(mat.reshape(4)))
+    return group.reduce(model.word_cocycle(word))
 
 
 # ---- fiber-valued functions on depth-D cylinders ----

@@ -43,10 +43,6 @@ class InadmissibleWord(ThinlabError):
     pass
 
 
-# Spec name for the birkhoff-op failure mode; same condition.
-InadmissibleConcatenation = InadmissibleWord
-
-
 # ---- thermodynamic core ----
 
 class NoConvergence(ThinlabError):
@@ -98,7 +94,7 @@ class NotGenerating(ThinlabError):
     pass
 
 
-class FibersTooLarge(ThinlabError):
+class GroupTooSmall(ThinlabError):
     pass
 
 

@@ -3,8 +3,9 @@ transfer-operator approximating measures, and the L2-flattening pipeline.
 
 Word orientation: a "head" word of r symbols and a "tail" word of s - r
 symbols prepend to a symbolic point x as (tail, head, x); the walk below
-enumerates heads level by level (prepending), so the cocycle index it carries
-after t steps is the ascending product of the t innermost step matrices.
+(thermo.Walk) enumerates heads level by level (prepending), so the cocycle
+index it carries after t steps is the ascending product of the t innermost
+step matrices.
 """
 
 from dataclasses import dataclass, field
@@ -12,13 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import congruence, symbolic
-from .congruence import GroupModQ, cf_lip
-from .errors import DepthExhausted, EnumerationTooLarge, NotGenerating
-from .schottky import IDENTITY
+from .congruence import GroupModQ, cf_lip, cocycle_mod
+from .errors import DepthExhausted, EnumerationTooLarge, GroupTooSmall, NoConvergence, NotGenerating
 from .symbolic import SymbolicPoint, all_words, enumerate_words, omega_tail
+from .thermo import MAX_LEAVES, Walk
 
-MAX_LEAVES = 5_000_000
-DENSE_CONV_ORDER = 2500
 SVD_ORDER = 2000
 
 
@@ -39,12 +38,8 @@ def build_return_set(model, y, z, p, cap=200_000):
     words = enumerate_words(model.T, y, z, p + 1)
     if len(words) ** 2 > cap:
         raise EnumerationTooLarge(f"{len(words)}^2 return-set pairs exceed cap {cap}")
-    cocs = []
-    for w in words:
-        m = IDENTITY
-        for j in w[:-1]:  # one factor per step, final step pair (w[-2], z)
-            m = m @ model.gens[j]
-        cocs.append(m)
+    # one factor per step, final step pair (w[-2], z)
+    cocs = [model.word_cocycle(w[:-1]) for w in words]
     seen = {}
     for ma in cocs:
         for mb in cocs:
@@ -122,16 +117,17 @@ def detect_expansion(model, qs, p_max=4, cap=200_000):
     return {"p": p, "q0_primes": sorted(bad), "per_q_level": works}
 
 
-def cayley_gap(S, group, tol=1e-12, max_iter=100_000, seed=0, method="lanczos"):
+def cayley_gap(S, group, seed=0):
     """(lambda_1, lambda_2, eps) of the Cayley graph of the reduced return set.
 
     lambda_1 is the degree exactly; lambda_2 is the largest (signed) adjacency
-    eigenvalue on the orthocomplement of constants.  The default path is a
-    Lanczos solve of the (symmetric) adjacency operator; method="power" runs a
-    shifted power iteration with projection instead, which is kept as an
-    independent cross-check but converges slowly when the spectral gap between
-    lambda_2 and lambda_3 is small relative to the degree shift.
+    eigenvalue on the orthocomplement of constants, from a Lanczos solve of the
+    (symmetric) adjacency operator.
     """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    if group.order <= 2:
+        raise GroupTooSmall(f"SL2(Z/{group.q}) has order {group.order}; a Cayley gap needs at least 3 elements")
     ok, cert = generates_full(S, group)
     if not ok:
         raise NotGenerating(f"return set closes up at {cert['closure_size']} < {group.order}")
@@ -139,38 +135,11 @@ def cayley_gap(S, group, tol=1e-12, max_iter=100_000, seed=0, method="lanczos"):
     deg = len(gens)
     inv = group.inv_perm()
     perms = np.stack([group.right_mul_perm(int(inv[i])) for i in gens])
-
-    def adjacency(v):
-        return v[perms].sum(axis=0)
-
-    if method == "lanczos":
-        from scipy.sparse.linalg import LinearOperator, eigsh
-
-        op = LinearOperator((group.order, group.order), matvec=adjacency, dtype=float)
-        rng = np.random.default_rng(seed)
-        vals = eigsh(op, k=2, which="LA", tol=0.0, v0=rng.standard_normal(group.order),
-                     return_eigenvectors=False)
-        lam2 = float(np.sort(vals)[0])
-    else:
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(group.order)
-        v -= v.mean()
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(max_iter):
-            u = adjacency(v) + deg * v
-            u -= u.mean()
-            nrm = np.linalg.norm(u)
-            if nrm == 0.0:
-                lam = 0.0
-                break
-            u /= nrm
-            lam_new = u @ (adjacency(u) + deg * u)
-            if abs(lam_new - lam) <= tol * deg:
-                lam = lam_new
-                break
-            lam, v = lam_new, u
-        lam2 = lam - deg
+    op = LinearOperator((group.order, group.order), matvec=lambda v: v[perms].sum(axis=0), dtype=float)
+    rng = np.random.default_rng(seed)
+    vals = eigsh(op, k=2, which="LA", tol=0.0, v0=rng.standard_normal(group.order),
+                 return_eigenvectors=False)
+    lam2 = float(np.sort(vals)[0])
     eps = 1.0 - lam2 / deg
     return float(deg), float(lam2), float(eps)
 
@@ -196,66 +165,6 @@ def convolve(measure, phi):
     return measure.group.convolve_fn(measure.weights, phi)
 
 
-class _Walk:
-    """Vectorized prepend walk: enumerates admissible words level by level,
-    carrying points, Birkhoff sums of f and tau, and cocycle indices."""
-
-    def __init__(self, lab, group, x, a):
-        self.lab = lab
-        self.model = lab.model
-        self.pot = lab.potential(a)
-        self.group = group
-        px = symbolic.eval_point(self.model, x)
-        self.sym = np.array([x.first])
-        self.v = np.array([px])
-        self.logh = np.array([self.pot.logh0_at(x.first, px)])
-        self.f = np.zeros(1)
-        self.tau = np.zeros(1)
-        self.cidx = np.array([group.identity])
-        self.words = np.zeros((1, 0), dtype=np.int8)
-        self.track_words = False
-
-    def _perm(self, j):
-        return self.group.left_mul_perm(self.group.reduce(self.model.gens[j]))
-
-    def size(self):
-        return self.sym.size
-
-    def step(self, symbols, cap=MAX_LEAVES):
-        """Prepend each admissible symbol from `symbols` to every current leaf."""
-        model, pot = self.model, self.pot
-        parts = []
-        for j in symbols:
-            mask = np.flatnonzero(model.T[j, self.sym])
-            if mask.size == 0:
-                continue
-            v2 = model.inv_branch(j, self.v[mask])
-            tau2 = model.tau(j, v2)
-            logh2 = pot.logh0_at(j, v2)
-            f2 = self.f[mask] + pot.f_from_parts(tau2, logh2, self.logh[mask])
-            cidx2 = self._perm(j)[self.cidx[mask]]
-            words2 = None
-            if self.track_words:
-                words2 = np.concatenate(
-                    [self.words[mask], np.full((mask.size, 1), j, dtype=np.int8)], axis=1
-                )
-            parts.append((np.full(mask.size, j), v2, logh2, f2, self.tau[mask] + tau2, cidx2, words2, mask))
-        if not parts:
-            from .errors import InadmissibleWord
-            raise InadmissibleWord("no admissible continuation for the requested symbols")
-        self.sym = np.concatenate([p[0] for p in parts])
-        self.v = np.concatenate([p[1] for p in parts])
-        self.logh = np.concatenate([p[2] for p in parts])
-        self.f = np.concatenate([p[3] for p in parts])
-        self.tau = np.concatenate([p[4] for p in parts])
-        self.cidx = np.concatenate([p[5] for p in parts])
-        if self.track_words:
-            self.words = np.concatenate([p[6] for p in parts], axis=0)
-        if self.size() > cap:
-            raise EnumerationTooLarge(f"word enumeration grew past {cap} leaves")
-        return np.concatenate([p[7] for p in parts])  # parent index per new leaf
-
-
 def build_measures(lab, group, x, r, s, tail, xi, cap=MAX_LEAVES):
     """The four approximating measures mu, nu0, mu-hat, nu for one tail word.
 
@@ -270,7 +179,7 @@ def build_measures(lab, group, x, r, s, tail, xi, cap=MAX_LEAVES):
         raise ValueError("need 0 < r < s and a tail of s - r symbols")
     if not symbolic.admissible(lab.model.T, tail):
         raise ValueError(f"tail {tail} is not admissible")
-    walk = _Walk(lab, group, x, a)
+    walk = Walk.from_point(lab.model, lab.potential(a), x, group)
     all_syms = range(lab.model.N)
     f_r = None
     cidx_atoms = None
@@ -313,8 +222,7 @@ def transfer_apply_at(lab, group, H, xi, s, x, cap=MAX_LEAVES):
     xi = complex(xi)
     model = lab.model
     depth = H.depth
-    walk = _Walk(lab, group, x, xi.real)
-    walk.track_words = True
+    walk = Walk.from_point(model, lab.potential(xi.real), x, group, track_words=True)
     for _ in range(s):
         walk.step(range(model.N), cap=cap)
     # cylinder of each leaf: word symbols (reversed prepend order) then x's
@@ -380,10 +288,7 @@ def approx_transfer_check(lab, group, H, xi, r, s, anchors=None, cap=MAX_LEAVES)
             omega = omega_tail(model.T, tail[-1])
             ext = tail + tuple(omega.period) * ((H.depth - len(tail)) // len(omega.period) + 1)
             cyl = index[ext[: H.depth]]
-            coc = IDENTITY
-            for j in tail[:-1]:
-                coc = coc @ model.gens[j]
-            perm = group.right_mul_perm(int(group.inv_perm()[group.reduce(coc)]))
+            perm = group.right_mul_perm(int(group.inv_perm()[cocycle_mod(model, tail[:-1], group)]))
             phi = H.values[cyl][perm]
             approx += convolve(meas["mu"], phi)
         residuals.append(float(np.linalg.norm(exact - approx)))
@@ -398,7 +303,8 @@ def approx_transfer_check(lab, group, H, xi, r, s, anchors=None, cap=MAX_LEAVES)
 def conv_opnorm(group, weights, projector, svd_cap=SVD_ORDER, seed=0, tol=1e-11, max_iter=20_000):
     """Operator norm of phi -> weights * phi restricted to the range of `projector`.
 
-    Dense SVD below svd_cap, projected power iteration on mu~* mu~ above it.
+    Dense SVD below svd_cap, projected power iteration on mu~* mu~ above it;
+    the iteration raises NoConvergence when it has not settled after max_iter steps.
     """
     n = group.order
     if n <= svd_cap:
@@ -421,7 +327,7 @@ def conv_opnorm(group, weights, projector, svd_cap=SVD_ORDER, seed=0, tol=1e-11,
         if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
             return float(np.sqrt(max(lam_new, 0.0)))
         lam, v = lam_new, u
-    return float(np.sqrt(max(lam, 0.0)))
+    raise NoConvergence(f"conv_opnorm power iteration did not reach tolerance {tol} in {max_iter} steps")
 
 
 def mean_zero_projector(group):
@@ -617,7 +523,7 @@ def _build_nu1(lab, group, x, r_prime, l, p, tail, a):
     for chain in chains:
         # chain = (u_{r'}, ..., u_1): forward order of the final word
         conv = np.zeros(group.order, dtype=complex)
-        conv[_reduce_word(model, group, (chain[-1][-1],))] = 1.0  # eta_0 = delta at c(alpha_1, x)
+        conv[cocycle_mod(model, (chain[-1][-1],), group)] = 1.0  # eta_0 = delta at c(alpha_1, x)
         ok = True
         for j in range(1, r_prime + 1):
             u_j = chain[r_prime - j]
@@ -662,12 +568,6 @@ def _eta_weights(lab, group, a, y, u_part, u_next, p, j, r_prime, x):
         E = float(np.exp(fE))
         evals.append(E)
         atom_word = (y,) + pw + u_part[:-1]
-        eta[_reduce_word(model, group, atom_word)] += E
+        eta[cocycle_mod(model, atom_word, group)] += E
     return eta, evals
 
-
-def _reduce_word(model, group, word):
-    m = IDENTITY
-    for j in word:
-        m = m @ model.gens[j]
-    return group.reduce(m)

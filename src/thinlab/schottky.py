@@ -243,12 +243,12 @@ class MarkovModel:
             raise InadmissibleStep(j, k)
         return self.gens[j]
 
-    def cylinder_interval(self, word):
-        """Endpoints of the interval sigma^{-word}(U_last)."""
-        lo, hi = self.intervals[word[-1]]
-        for j in reversed(word[:-1]):
-            lo, hi = sorted((self.inv_branch(j, lo), self.inv_branch(j, hi)))
-        return lo, hi
+    def word_cocycle(self, word):
+        """Exact integer product of the step matrices of a word, in word order."""
+        m = IDENTITY
+        for j in word:
+            m = m @ self.gens[j]
+        return m
 
     # ---- measured geometry constants ----
 

@@ -32,18 +32,6 @@ def mixing_exponent(T):
     raise NotMixing(f"no power of T up to {n * n} is entrywise positive")
 
 
-@dataclass(frozen=True)
-class TransitionStructure:
-    N: int
-    T: np.ndarray
-    N_T: int
-
-    @classmethod
-    def from_matrix(cls, T):
-        T = np.asarray(T, dtype=np.int8)
-        return cls(T.shape[0], T, mixing_exponent(T))
-
-
 def admissible(T, word):
     return all(T[a, b] for a, b in zip(word, word[1:]))
 
@@ -103,13 +91,6 @@ def all_words(T, depth):
     return words
 
 
-def count_words(T, depth):
-    if depth == 1:
-        return T.shape[0]
-    power = np.linalg.matrix_power(T.astype(np.int64), depth - 1)
-    return int(power.sum())
-
-
 # ---- symbolic points ----
 
 @dataclass(frozen=True)
@@ -135,11 +116,6 @@ class SymbolicPoint:
     @property
     def first(self):
         return self.preperiod[0] if self.preperiod else self.period[0]
-
-    def shifted(self):
-        if self.preperiod:
-            return SymbolicPoint(self.preperiod[1:], self.period)
-        return SymbolicPoint((), self.period[1:] + self.period[:1])
 
     def prepend(self, word):
         return SymbolicPoint(tuple(word) + self.preperiod, self.period)
@@ -234,19 +210,14 @@ def eval_point(model, x, check=True):
     return float(v)
 
 
-def anchor(model, word):
-    """Canonical point of the cylinder of `word`: extend by omega and evaluate."""
-    tail = omega_tail(model.T, word[-1])
-    return eval_point(model, SymbolicPoint(tuple(word), tail.period), check=False)
-
-
 # ---- Birkhoff sums ----
 
 def birkhoff(potential, alpha, x):
     """Birkhoff sums (tau, cocycle matrix, f^(a)) of word alpha prepended to x.
 
     `potential` carries the normalized-potential data at its parameter a; the
-    cocycle is the exact integer product of step matrices in ascending order.
+    cocycle is the exact integer product of step matrices in ascending order
+    (MarkovModel.word_cocycle).
     """
     model = potential.model
     alpha = tuple(alpha)
@@ -261,7 +232,6 @@ def birkhoff(potential, alpha, x):
     logh = potential.logh0_at(x.first, v)
     tau_sum = 0.0
     f_sum = 0.0
-    coc = IDENTITY
     for j in reversed(alpha):
         v = model.inv_branch(j, v)
         step_tau = float(model.tau(j, v))
@@ -269,8 +239,7 @@ def birkhoff(potential, alpha, x):
         tau_sum += step_tau
         f_sum += potential.f_from_parts(step_tau, logh_new, logh)
         logh = logh_new
-        coc = model.gens[j] @ coc
-    return tau_sum, coc, f_sum
+    return tau_sum, model.word_cocycle(alpha), f_sum
 
 
 def lip_quotient_pairs(model, rng, depths, samples_per_depth):

@@ -13,10 +13,10 @@ from functools import cached_property
 import numpy as np
 
 from . import symbolic
-from .errors import NoConvergence, RootNotBracketed
+from .errors import EnumerationTooLarge, InadmissibleWord, NoConvergence, RootNotBracketed
 from .symbolic import all_words, lip_quotient_pairs
 
-DENSE_EIG_DIM = 256
+MAX_LEAVES = 5_000_000
 
 
 class CollocationGrid:
@@ -103,14 +103,10 @@ def power_leading(M, tol=1e-12, max_iter=100_000, v0=None):
     raise NoConvergence(f"power iteration did not reach tolerance {tol}")
 
 
-def second_eigenvalue_modulus(M, lam, h, nu):
-    """|second eigenvalue|: dense spectrum for small matrices, deflation otherwise."""
-    if M.shape[0] <= DENSE_EIG_DIM:
-        eig = np.sort(np.abs(np.linalg.eigvals(M)))[::-1]
-        return float(eig[1])
-    deflated = M - lam * np.outer(h, nu) / (nu @ h)
-    lam2, _ = power_leading(deflated, tol=1e-10)
-    return abs(lam2)
+def second_eigenvalue_modulus(M):
+    """|second eigenvalue| from the dense spectrum."""
+    eig = np.sort(np.abs(np.linalg.eigvals(M)))[::-1]
+    return float(eig[1])
 
 
 @dataclass
@@ -122,9 +118,6 @@ class RpfSolution:
     h: np.ndarray        # (N, m) positive eigenfunction values
     nu: np.ndarray       # (N, m) nonnegative quadrature weights, total mass 1
     gap: float           # |second eigenvalue| / lam
-
-    def nu_apply(self, values):
-        return float(np.sum(self.nu * values))
 
 
 def _leading_for_param(model, grid, s, v0=None, tol=1e-14):
@@ -164,7 +157,7 @@ def rpf_solve(model, grid, a, delta=None, tol=1e-12):
         nu = -nu
     nu = nu / nu.sum()
     h = h / (nu @ h)
-    gap = second_eigenvalue_modulus(M, lam, h, nu) / lam
+    gap = second_eigenvalue_modulus(M) / lam
     m = grid.m
     return RpfSolution(a, float(lam), h.reshape(model.N, m), nu.reshape(model.N, m), float(gap))
 
@@ -185,9 +178,6 @@ class NormalizedPotential:
         scalar = np.asarray(x).ndim == 0
         vals = np.log(self.grid.interp(j, self.h0[j], x))
         return float(vals[0]) if scalar else vals
-
-    def tau_step(self, j, v):
-        return self.model.tau(j, v)
 
     def f_from_parts(self, tau, logh_v, logh_parent):
         return -(self.a + self.delta) * tau + logh_v - logh_parent - self.loglam
@@ -337,84 +327,101 @@ class ThermoLab:
         return all_words(self.model.T, depth)
 
     def anchors(self, depth):
+        """Point of every depth-D cylinder: its word prepended to the omega
+        continuation of its last symbol."""
         if depth not in self._anchors:
             model = self.model
-            words = self.words(depth)
-            idx = {w: i for i, w in enumerate(words)}
-            out = np.empty(len(words))
-            base = {}
-            for k in range(model.N):
-                tail = symbolic.omega_tail(model.T, k)
-                base[k] = symbolic.eval_point(model, symbolic.SymbolicPoint((k,), tail.period), check=False)
-            stack = [((k,), base[k]) for k in range(model.N)]
-            while stack:
-                w, v = stack.pop()
-                if len(w) == depth:
-                    out[idx[w]] = v
-                    continue
-                for j in range(model.N):
-                    if model.admissible(j, w[0]):
-                        stack.append(((j,) + w, float(model.inv_branch(j, v))))
-            self._anchors[depth] = (words, out)
+            base = [symbolic.eval_point(model, symbolic.SymbolicPoint((k,), symbolic.omega_tail(model.T, k).period),
+                                        check=False) for k in range(model.N)]
+            walk = Walk(model, self.potential(0.0), np.arange(model.N), base)
+            for _ in range(depth - 1):
+                walk.step(range(model.N))
+            self._anchors[depth] = (self.words(depth), walk.v)
         return self._anchors[depth]
 
     def cylinder_masses(self, depth):
         """nu_U mass of every depth-D cylinder, by quadrature pulled through the word."""
         if depth not in self._masses:
-            model = self.model
-            pot = self.potential(0.0)
+            model, m = self.model, self.grid.m
             sol = self.rpf(0.0)
             w_U = sol.nu * sol.h  # d nu_U = h0 d nu0, total mass nu0(h0) = 1
+            walk = Walk(model, self.potential(0.0), np.repeat(np.arange(model.N), m), self.grid.nodes.reshape(-1))
+            for _ in range(depth - 1):
+                walk.step(range(model.N))
             words = self.words(depth)
-            idx = {w: i for i, w in enumerate(words)}
-            masses = np.empty(len(words))
-            logh_nodes = [pot.logh0_at(k, self.grid.nodes[k]) for k in range(model.N)]
-            stack = [((k,), self.grid.nodes[k], logh_nodes[k], np.zeros(self.grid.m)) for k in range(model.N)]
-            while stack:
-                w, v, logh, f = stack.pop()
-                if len(w) == depth:
-                    masses[idx[w]] = float(np.sum(w_U[w[-1]] * np.exp(f)))
-                    continue
-                for j in range(model.N):
-                    if not model.admissible(j, w[0]):
-                        continue
-                    v2 = model.inv_branch(j, v)
-                    logh2 = pot.logh0_at(j, v2)
-                    f2 = f + pot.f_from_parts(model.tau(j, v2), logh2, logh)
-                    stack.append(((j,) + w, v2, logh2, f2))
+            last = np.array([w[-1] for w in words])
+            masses = np.sum(w_U[last] * np.exp(walk.f.reshape(-1, m)), axis=1)
             self._masses[depth] = (words, masses)
         return self._masses[depth]
 
     def sum_exp_f(self, k, x, a):
         """Sum over admissible k-step words prepended to x of exp(f_k^(a)); equals
         the normalized operator's k-th iterate applied to the constant one."""
-        pot = self.potential(a)
-        model = self.model
-        px = symbolic.eval_point(model, x)
-        sym = np.array([x.first])
-        v = np.array([px])
-        logh = np.atleast_1d(pot.logh0_at(x.first, px))
-        f = np.zeros(1)
+        walk = Walk.from_point(self.model, self.potential(a), x)
         for _ in range(k):
-            parts = []
-            for j in range(model.N):
-                mask = model.T[j, sym] == 1
-                if not mask.any():
-                    continue
-                v2 = model.inv_branch(j, v[mask])
-                logh2 = pot.logh0_at(j, v2)
-                f2 = f[mask] + pot.f_from_parts(model.tau(j, v2), logh2, logh[mask])
-                parts.append((np.full(v2.shape, j, dtype=np.int64), v2, logh2, f2))
-            sym = np.concatenate([p[0] for p in parts])
-            v = np.concatenate([p[1] for p in parts])
-            logh = np.concatenate([p[2] for p in parts])
-            f = np.concatenate([p[3] for p in parts])
-        return float(np.exp(f).sum())
+            walk.step(range(self.model.N))
+        return float(np.exp(walk.f).sum())
 
 
-def normalize_potential(model, grid, a, a0p=0.05):
-    """Spec-level convenience: the normalized potential plus measured constants."""
-    lab = ThermoLab(model, degree=grid.m, a0p=a0p)
-    if abs(a) >= a0p:
-        raise ValueError(f"|a| = {abs(a)} must stay below a0' = {a0p}")
-    return lab.potential(a), lab.constants()
+class Walk:
+    """Vectorized prepend walk from an array of (symbol, point) leaves.
+
+    Each step prepends symbols to every leaf they may precede, carrying the
+    preimage point, the Birkhoff sums of f^(a) and tau and, when a group is
+    given, the index of the ascending cocycle product.  New leaves are ordered
+    by prepended symbol, then by parent, so the leaves always run in
+    lexicographic order of the prepended word, then in starting order.
+    """
+
+    def __init__(self, model, pot, sym, v, group=None, track_words=False):
+        self.model = model
+        self.pot = pot
+        self.group = group
+        self.sym = np.asarray(sym)
+        self.v = np.asarray(v, dtype=float)
+        self.logh = np.empty(self.v.size)
+        for k in np.unique(self.sym):
+            sel = self.sym == k
+            self.logh[sel] = pot.logh0_at(k, self.v[sel])
+        self.f = np.zeros(self.v.size)
+        self.tau = np.zeros(self.v.size)
+        self.cidx = None if group is None else np.full(self.v.size, group.identity)
+        self.words = np.zeros((self.v.size, 0), dtype=np.int8) if track_words else None
+
+    @classmethod
+    def from_point(cls, model, pot, x, group=None, track_words=False):
+        """A walk whose only starting leaf is the symbolic point x."""
+        return cls(model, pot, [x.first], [symbolic.eval_point(model, x)], group, track_words)
+
+    def _perm(self, j):
+        return self.group.left_mul_perm(self.group.reduce(self.model.gens[j]))
+
+    def size(self):
+        return self.sym.size
+
+    def step(self, symbols, cap=MAX_LEAVES):
+        """Prepend each admissible symbol from `symbols` to every current leaf;
+        returns the parent index of each new leaf."""
+        model, pot = self.model, self.pot
+        parts = []
+        for j in symbols:
+            mask = np.flatnonzero(model.T[j, self.sym])
+            if mask.size == 0:
+                continue
+            v2 = model.inv_branch(j, self.v[mask])
+            tau2 = model.tau(j, v2)
+            logh2 = pot.logh0_at(j, v2)
+            f2 = self.f[mask] + pot.f_from_parts(tau2, logh2, self.logh[mask])
+            parts.append((j, mask, v2, logh2, f2, self.tau[mask] + tau2))
+        if not parts:
+            raise InadmissibleWord("no admissible continuation for the requested symbols")
+        parents = np.concatenate([p[1] for p in parts])
+        if self.cidx is not None:
+            self.cidx = np.concatenate([self._perm(j)[self.cidx[mask]] for j, mask, *_ in parts])
+        self.sym = np.concatenate([np.full(p[1].size, p[0]) for p in parts])
+        if self.words is not None:
+            self.words = np.concatenate([self.words[parents], self.sym[:, None].astype(np.int8)], axis=1)
+        self.v, self.logh, self.f, self.tau = (np.concatenate([p[i] for p in parts]) for i in range(2, 6))
+        if self.size() > cap:
+            raise EnumerationTooLarge(f"word enumeration grew past {cap} leaves")
+        return parents

@@ -145,3 +145,30 @@ def min_nontrivial_irrep_dim(group, seed=0):
         i = j + 1
     nontrivial = [int(round(np.sqrt(d))) for d in dims if d > 1]
     return min(nontrivial) if nontrivial else 1
+
+
+def cayley_lambda2_power(group, gens, tol=1e-12, max_iter=100_000, seed=0):
+    """Second adjacency eigenvalue of the Cayley graph on `gens` by a shifted
+    power iteration projected off the constants.  Independent of the Lanczos
+    solve in cayley_gap, but slow when lambda_2 and lambda_3 are close."""
+    deg = len(gens)
+    inv = group.inv_perm()
+    perms = np.stack([group.right_mul_perm(int(inv[i])) for i in gens])
+
+    def shifted(v):
+        return v[perms].sum(axis=0) + deg * v
+
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(group.order)
+    v -= v.mean()
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(max_iter):
+        u = shifted(v)
+        u -= u.mean()
+        u /= np.linalg.norm(u)
+        lam_new = u @ shifted(u)
+        if abs(lam_new - lam) <= tol * deg:
+            return lam_new - deg
+        lam, v = lam_new, u
+    raise AssertionError(f"power iteration did not reach tolerance {tol}")

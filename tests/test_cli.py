@@ -55,6 +55,24 @@ def test_decay_rejects_non_squarefree(config, tmp_path, capsys):
     assert "NotSquareFree" in capsys.readouterr().err
 
 
+def test_cayley_trivial_group_exits_2(config, tmp_path, capsys):
+    code = main(["cayley", "--config", config, "--q", "1", "--p", "3", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("GroupTooSmall:")
+
+
+def test_config_non_integer_degree_exits_2(tmp_path, capsys):
+    path = tmp_path / "G.json"
+    path.write_text(json.dumps(dict(EXAMPLE, degree="x")))
+    assert main(["delta", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("ConfigParse:")
+
+
+def test_degree_zero_exits_2(config, tmp_path, capsys):
+    assert main(["delta", "--config", config, "--degree", "0", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("ConfigParse:")
+
+
 def test_cayley_deterministic(config, tmp_path, capsys):
     out1 = str(tmp_path / "o1")
     out2 = str(tmp_path / "o2")

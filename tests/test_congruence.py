@@ -62,6 +62,16 @@ def test_cocycle_mod_empty_and_sentinel(model, groups):
     assert cocycle_mod(model, (0, 1, 2), g1) == g1.identity
 
 
+def test_cocycle_mod_long_word(model, groups):
+    # the exact integer product of 40 steps is far outside int64
+    g = groups(7)
+    word = (0, 1) * 20
+    idx = g.identity
+    for j in word:
+        idx = int(g.index_of(g._compose(g.elems[idx], g.elems[cocycle_mod(model, (j,), g)])))
+    assert cocycle_mod(model, word, g) == idx
+
+
 def test_cocycle_reduction_is_homomorphism(model, groups):
     # reduce(c^alpha . c^beta) == reduce(c^alpha) * reduce(c^beta) mod q
     g = groups(7)

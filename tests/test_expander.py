@@ -14,9 +14,9 @@ from thinlab import (
 )
 from thinlab import expander as ex
 from thinlab import symbolic as sym
-from thinlab.errors import EnumerationTooLarge, NotGenerating
+from thinlab.errors import EnumerationTooLarge, NoConvergence, NotGenerating
 
-from oracles import min_nontrivial_irrep_dim
+from oracles import cayley_lambda2_power, min_nontrivial_irrep_dim
 
 
 def test_return_set_contains_identity(model):
@@ -79,11 +79,10 @@ def test_cayley_gap_degree_exact(model, groups, expansion):
 def test_cayley_gap_methods_agree(model, groups, expansion):
     S = build_return_set(model, 0, 0, expansion["p"])
     g5 = groups(5)
-    lan = cayley_gap(S, g5, method="lanczos")
-    pow_ = cayley_gap(S, g5, method="power")
-    assert abs(lan[1] - pow_[1]) <= 1e-8 * max(1.0, lan[0])
-    # dense oracle
+    lan = cayley_gap(S, g5)
     gens = ex.reduced_generator_indices(S, g5)
+    assert abs(lan[1] - cayley_lambda2_power(g5, gens)) <= 1e-8 * max(1.0, lan[0])
+    # dense oracle
     A = np.zeros((g5.order, g5.order))
     inv = g5.inv_perm()
     for i in gens:
@@ -225,6 +224,17 @@ def test_flattening_pipeline_passes(model, lab, groups, expansion):
     assert rep.passed(), rep.to_json_dict()
     assert rep.values["eta_bound_deficit"] > 0.0
     assert rep.entries["eta_contraction"]["ratio"] < 1.0
+
+
+def test_conv_opnorm_iteration_raises_when_unconverged(groups):
+    g13 = groups(13)
+    rng = np.random.default_rng(16)
+    weights = np.zeros(g13.order, dtype=complex)
+    weights[rng.choice(g13.order, size=50, replace=False)] = rng.random(50)
+    mz = ex.mean_zero_projector(g13)
+    with pytest.raises(NoConvergence):
+        ex.conv_opnorm(g13, weights, mz, svd_cap=0, max_iter=3)
+    assert 0.0 < ex.conv_opnorm(g13, weights, mz, svd_cap=0) <= np.abs(weights).sum()
 
 
 def test_min_nontrivial_irrep_dimension(groups):

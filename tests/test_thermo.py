@@ -89,6 +89,25 @@ def test_cylinder_masses_positive_and_normalized(lab):
         assert abs(masses.sum() - 1.0) <= 1e-9
 
 
+def test_cylinder_data_match_per_word_loops(model, lab):
+    # the vectorized prepend walk against one scalar pass per word
+    pot = lab.potential(0.0)
+    sol = lab.rpf(0.0)
+    for depth in (1, 3, 5):
+        words, anchors = lab.anchors(depth)
+        _, masses = lab.cylinder_masses(depth)
+        for i, w in enumerate(words):
+            x = sym.SymbolicPoint(w, sym.omega_tail(model.T, w[-1]).period)
+            assert abs(anchors[i] - sym.eval_point(model, x)) <= 1e-12 * abs(anchors[i])
+            k, v, f = w[-1], lab.grid.nodes[w[-1]], 0.0
+            for j in reversed(w[:-1]):
+                v2 = model.inv_branch(j, v)
+                f = f + pot.f_step(j, k, v2, v)
+                k, v = j, v2
+            mass = float(np.sum(sol.nu[w[-1]] * sol.h[w[-1]] * np.exp(f)))
+            assert abs(masses[i] - mass) <= 1e-12 * mass
+
+
 def test_critical_exponent_range(lab):
     assert 0.0 < lab.delta <= 1.0 - 1e-6
 
@@ -155,6 +174,17 @@ def test_second_eigenvalue_stable_under_refinement(model, lab):
     g16 = lab.rpf(0.0).gap
     g32 = lab32.rpf(0.0).gap
     assert abs(g16 - g32) <= 0.1 * g16
+
+
+def test_gap_dense_above_dimension_256(model, lab):
+    # degree 80 gives dimension 320, where a deflated power iteration once
+    # converged to the third eigenvalue (gap 0.40867 instead of 0.49657)
+    lab80 = ThermoLab(model, degree=80)
+    sol = rpf_solve(model, lab80.grid, 0.0, delta=lab80.delta)
+    M = assemble_transfer(model, lab80.grid, -lab80.delta)
+    eig = np.sort(np.abs(np.linalg.eigvals(M)))[::-1]
+    assert abs(sol.gap - eig[1] / eig[0]) <= 1e-10
+    assert abs(sol.gap - lab.rpf(0.0).gap) <= 0.1 * sol.gap
 
 
 def test_duality(model, lab):
