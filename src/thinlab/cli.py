@@ -4,6 +4,12 @@ Artifacts are CSV for curves and JSON for reports, written to the output
 directory as <command>-<timestamp>.<ext>; bodies contain no timestamps, so
 identical configs and seeds reproduce them byte for byte.  Floats print with
 17 significant digits.
+
+Every eigenvalue a subcommand prints comes from a dense LAPACK solve (the
+pressure root delta, the RPF data and gap, the twisted radius) or from one
+Lanczos solve (Cayley gaps, convolution norms above expander.SVD_ORDER).
+Eigenpairs are residual-checked; a failed check or an unconverged solve exits
+with EXIT_NUMERICAL.
 """
 
 import argparse
@@ -35,17 +41,14 @@ class RunConfig:
     theta: float = None
     degree: int = 16
     depth: int = 8
-    a_grid: list = field(default_factory=lambda: [0.0])
-    b_grid: list = field(default_factory=lambda: [0.0])
     q_list: list = field(default_factory=list)
     p: int = None
-    r_prime: int = 2
     l: int = None
     seed: int = 7
     out_dir: str = "thinlab-out"
 
     def validate(self):
-        for name in ("degree", "depth", "r_prime", "seed", "p", "l"):
+        for name in ("degree", "depth", "seed", "p", "l"):
             v = getattr(self, name)
             if v is None and name in ("p", "l"):
                 continue  # detected or derived when absent
@@ -58,8 +61,6 @@ class RunConfig:
         for q in self.q_list:
             if q != 1 and any(e > 1 for _, e in congruence.factorize(q)):
                 raise ConfigParse(f"NotSquareFree: q = {q}")
-        if not self.a_grid or not self.b_grid:
-            raise ConfigParse("a and b grids must be nonempty")
 
 
 def load_config(path, args):
@@ -69,16 +70,12 @@ def load_config(path, args):
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
     cfg = RunConfig(group_path=path)
-    for key in ("theta", "degree", "depth", "p", "r_prime", "l", "seed", "out_dir"):
+    for key in ("theta", "degree", "depth", "p", "l", "seed", "out_dir"):
         if key in doc:
             setattr(cfg, key, doc[key])
-    if "a_grid" in doc:
-        cfg.a_grid = [float(a) for a in doc["a_grid"]]
-    if "b_grid" in doc:
-        cfg.b_grid = [float(b) for b in doc["b_grid"]]
     if "q" in doc:
         cfg.q_list = [int(q) for q in doc["q"]]
-    for key in ("degree", "depth", "seed", "p", "r_prime", "l"):
+    for key in ("degree", "depth", "seed", "p", "l"):
         v = getattr(args, key, None)
         if v is not None:
             setattr(cfg, key, v)
@@ -254,8 +251,7 @@ def cmd_twist(cfg, doc, bs):
     lab = thermo.ThermoLab(model, degree=cfg.degree, theta=cfg.theta)
 
     def one(b):
-        radius, _ = decay.twisted_radius(lab, b, seed=cfg.seed)
-        return [fmt(b), fmt(radius)]
+        return [fmt(b), fmt(decay.twisted_radius(lab, b))]
 
     rows = _pmap(one, bs)
     body = csv_body(["b", "radius"], rows)
@@ -313,7 +309,6 @@ def build_parser():
         p.add_argument("--depth", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--p", type=int, default=None, dest="p")
-        p.add_argument("--r-prime", type=int, default=None, dest="r_prime")
         p.add_argument("--l", type=int, default=None, dest="l")
         p.add_argument("--q", default=None, help="comma-separated square-free moduli")
 

@@ -10,7 +10,7 @@ import numpy as np
 from . import congruence, symbolic
 from .congruence import CongruenceFunction, CongruenceOperator, cf_l2_norm, cf_lip, cf_sup_norm
 from .errors import BudgetExceeded, NotGenerating
-from .thermo import CollocationGrid, NormalizedPotential, assemble_transfer, rpf_solve
+from .thermo import CollocationGrid, NormalizedPotential, assemble_transfer, dense_leading, rpf_solve
 
 
 @dataclass
@@ -210,9 +210,9 @@ def operator_norm_bound(lab, group, xi, depth=5, seed=0, trials=5):
 
 # ---- twisted radius of the base operator ----
 
-def twisted_radius(lab, b, k_max=300, degree=None, seed=0, burn_frac=0.5, conj_input=False):
-    """Spectral-radius estimate of the normalized twisted operator at xi = i b,
-    from the growth slope of log ||L^k H|| on a random C^1-bounded input.
+def twisted_radius(lab, b, degree=None):
+    """Spectral radius of the normalized twisted operator at xi = i b: the
+    largest eigenvalue modulus of its collocation matrix, residual-checked.
 
     The collocation degree scales with |b| so the oscillation is resolved.
     """
@@ -222,59 +222,5 @@ def twisted_radius(lab, b, k_max=300, degree=None, seed=0, burn_frac=0.5, conj_i
     grid = CollocationGrid(model, degree)
     sol = rpf_solve(model, grid, 0.0, delta=lab.delta)
     pot = NormalizedPotential(model, grid, 0.0, lab.delta, sol.lam, sol.h)
-    M = assemble_transfer(model, grid, 1j * float(b), normalized=True, potential=pot)
-    w_U = (sol.nu * sol.h).reshape(-1)
-
-    rng = np.random.default_rng(seed)
-    H = rng.standard_normal(grid.dim) + 1j * rng.standard_normal(grid.dim)
-    if conj_input:
-        H = np.conj(H)
-    # ||H||_{1,b} = sup + |H|_C1 / max(1, |b|), C1 seminorm by finite differences
-    sup = np.abs(H).max()
-    c1 = 0.0
-    for j in range(model.N):
-        seg = H[j * degree:(j + 1) * degree]
-        dx = np.diff(grid.nodes[j])
-        c1 = max(c1, float(np.abs(np.diff(seg) / dx).max()))
-    H /= sup + c1 / max(1.0, abs(b))
-
-    logs = []
-    acc = 0.0
-    for _ in range(k_max):
-        H = M @ H
-        nrm = float(np.sqrt(np.sum(w_U * np.abs(H) ** 2)))
-        if nrm == 0.0:
-            return 0.0, []
-        acc += np.log(nrm)
-        logs.append(acc)
-        H /= nrm
-    lo = int(burn_frac * k_max)
-    ks = np.arange(1, k_max + 1)[lo:]
-    fit = np.polyfit(ks, np.array(logs)[lo:], 1)
-    return float(np.exp(fit[0])), logs
-
-
-def base_gap_rate(lab, k_max=300, seed=0):
-    """Per-step decay rate of the untwisted normalized operator on nu_U
-    mean-zero inputs; converges to the RPF second-eigenvalue modulus."""
-    model, grid = lab.model, lab.grid
-    sol = lab.rpf(0.0)
-    pot = lab.potential(0.0)
-    M = assemble_transfer(model, grid, 0.0, normalized=True, potential=pot)
-    w_U = (sol.nu * sol.h).reshape(-1)
-    rng = np.random.default_rng(seed)
-    H = rng.standard_normal(grid.dim) + 1j * rng.standard_normal(grid.dim)
-    H -= np.sum(w_U * H)  # nu_U mean zero; the normalized eigenfunction is 1
-    logs = []
-    acc = 0.0
-    for _ in range(k_max):
-        H = M @ H
-        H -= np.sum(w_U * H)
-        nrm = float(np.sqrt(np.sum(w_U * np.abs(H) ** 2)))
-        acc += np.log(nrm)
-        logs.append(acc)
-        H /= nrm
-    lo = k_max // 2
-    ks = np.arange(1, k_max + 1)[lo:]
-    fit = np.polyfit(ks, np.array(logs)[lo:], 1)
-    return float(np.exp(fit[0]))
+    lam, _, _ = dense_leading(assemble_transfer(model, grid, 1j * float(b), normalized=True, potential=pot))
+    return float(abs(lam))

@@ -16,9 +16,10 @@ from . import congruence, symbolic
 from .congruence import GroupModQ, cf_lip, cocycle_mod
 from .errors import DepthExhausted, EnumerationTooLarge, GroupTooSmall, NoConvergence, NotGenerating
 from .symbolic import SymbolicPoint, all_words, enumerate_words, omega_tail
-from .thermo import MAX_LEAVES, Walk
+from .thermo import MAX_LEAVES, RESIDUAL_TOL, Walk
 
 SVD_ORDER = 2000
+LANCZOS_TOL = 1e-12
 
 
 # ---- return trajectory sets ----
@@ -117,6 +118,32 @@ def detect_expansion(model, qs, p_max=4, cap=200_000):
     return {"p": p, "q0_primes": sorted(bad), "per_q_level": works}
 
 
+def _lanczos_top(matvec, n, k, dtype, seed):
+    """The k largest (algebraic) eigenvalues, ascending, of the symmetric or
+    Hermitian operator `matvec` on n-vectors, from one ARPACK Lanczos solve.
+
+    Each returned pair must satisfy ||A v - lam v|| <= RESIDUAL_TOL * max|lam|;
+    otherwise, or when ARPACK stops unconverged, NoConvergence.
+    """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(n)
+    if np.dtype(dtype).kind == "c":
+        v0 = v0 + 1j * rng.standard_normal(n)
+    try:
+        vals, vecs = eigsh(LinearOperator((n, n), matvec=matvec, dtype=dtype), k=k, which="LA",
+                           tol=LANCZOS_TOL, v0=v0)
+    except ArpackNoConvergence as exc:
+        raise NoConvergence(f"Lanczos did not converge: {exc}") from exc
+    scale = float(np.abs(vals).max())
+    for lam, v in zip(vals, vecs.T):
+        residual = float(np.linalg.norm(matvec(v) - lam * v))
+        if not residual <= RESIDUAL_TOL * scale:
+            raise NoConvergence(f"Lanczos residual {residual:.3e} exceeds {RESIDUAL_TOL:g} * {scale:.6g}")
+    return vals
+
+
 def cayley_gap(S, group, seed=0):
     """(lambda_1, lambda_2, eps) of the Cayley graph of the reduced return set.
 
@@ -124,8 +151,6 @@ def cayley_gap(S, group, seed=0):
     eigenvalue on the orthocomplement of constants, from a Lanczos solve of the
     (symmetric) adjacency operator.
     """
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
     if group.order <= 2:
         raise GroupTooSmall(f"SL2(Z/{group.q}) has order {group.order}; a Cayley gap needs at least 3 elements")
     ok, cert = generates_full(S, group)
@@ -135,13 +160,9 @@ def cayley_gap(S, group, seed=0):
     deg = len(gens)
     inv = group.inv_perm()
     perms = np.stack([group.right_mul_perm(int(inv[i])) for i in gens])
-    op = LinearOperator((group.order, group.order), matvec=lambda v: v[perms].sum(axis=0), dtype=float)
-    rng = np.random.default_rng(seed)
-    vals = eigsh(op, k=2, which="LA", tol=0.0, v0=rng.standard_normal(group.order),
-                 return_eigenvectors=False)
-    lam2 = float(np.sort(vals)[0])
+    lam2 = float(_lanczos_top(lambda v: v[perms].sum(axis=0), group.order, 2, float, seed)[0])
     eps = 1.0 - lam2 / deg
-    return float(deg), float(lam2), float(eps)
+    return float(deg), lam2, float(eps)
 
 
 # ---- approximating measures ----
@@ -300,11 +321,11 @@ def approx_transfer_check(lab, group, H, xi, r, s, anchors=None, cap=MAX_LEAVES)
 
 # ---- operator norms of convolution operators on subspaces ----
 
-def conv_opnorm(group, weights, projector, svd_cap=SVD_ORDER, seed=0, tol=1e-11, max_iter=20_000):
+def conv_opnorm(group, weights, projector, svd_cap=SVD_ORDER, seed=0):
     """Operator norm of phi -> weights * phi restricted to the range of `projector`.
 
-    Dense SVD below svd_cap, projected power iteration on mu~* mu~ above it;
-    the iteration raises NoConvergence when it has not settled after max_iter steps.
+    Dense SVD up to svd_cap; above it, the square root of the top eigenvalue of
+    the Hermitian P mu~* mu P by Lanczos.
     """
     n = group.order
     if n <= svd_cap:
@@ -313,21 +334,12 @@ def conv_opnorm(group, weights, projector, svd_cap=SVD_ORDER, seed=0, tol=1e-11,
         MP = projector(M)
         return float(np.linalg.svd(MP, compute_uv=False)[0])
     star = np.conj(weights[group.inv_perm()])
-    rng = np.random.default_rng(seed)
-    v = projector(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        u = projector(group.convolve_fn(star, group.convolve_fn(weights, v)))
-        nrm = np.linalg.norm(u)
-        if nrm == 0.0:
-            return 0.0
-        u /= nrm
-        lam_new = float(np.real(np.vdot(u, projector(group.convolve_fn(star, group.convolve_fn(weights, u))))))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return float(np.sqrt(max(lam_new, 0.0)))
-        lam, v = lam_new, u
-    raise NoConvergence(f"conv_opnorm power iteration did not reach tolerance {tol} in {max_iter} steps")
+
+    def gram(v):
+        return projector(group.convolve_fn(star, group.convolve_fn(weights, projector(v))))
+
+    lam = float(_lanczos_top(gram, n, 1, complex, seed)[0])
+    return float(np.sqrt(max(lam, 0.0)))
 
 
 def mean_zero_projector(group):

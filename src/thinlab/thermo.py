@@ -85,28 +85,24 @@ def assemble_transfer(model, grid, xi, normalized=False, potential=None):
     return M
 
 
-def power_leading(M, tol=1e-12, max_iter=100_000, v0=None):
-    """Dominant eigenpair of a real matrix by power iteration."""
-    n = M.shape[0]
-    v = np.ones(n) / np.sqrt(n) if v0 is None else v0 / np.linalg.norm(v0)
-    lam = 0.0
-    for _ in range(max_iter):
-        u = M @ v
-        nrm = np.linalg.norm(u)
-        if nrm == 0.0:
-            raise NoConvergence("power iteration collapsed to zero")
-        u /= nrm
-        lam_new = u @ (M @ u)
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new, u
-        lam, v = lam_new, u
-    raise NoConvergence(f"power iteration did not reach tolerance {tol}")
+RESIDUAL_TOL = 1e-10
 
 
-def second_eigenvalue_modulus(M):
-    """|second eigenvalue| from the dense spectrum."""
-    eig = np.sort(np.abs(np.linalg.eigvals(M)))[::-1]
-    return float(eig[1])
+def dense_leading(M):
+    """(lam, v, rho_2): the eigenvalue of largest modulus of M, its unit
+    eigenvector and the second-largest eigenvalue modulus, from one dense
+    LAPACK solve.  For a real M the pair comes back real, so a complex leading
+    pair fails the residual check; NoConvergence when ||M v - lam v|| exceeds
+    RESIDUAL_TOL * |lam|."""
+    w, V = np.linalg.eig(M)
+    order = np.argsort(np.abs(w))
+    lam, v = w[order[-1]], V[:, order[-1]]
+    if np.isrealobj(M):
+        lam, v = lam.real, v.real
+    residual = float(np.linalg.norm(M @ v - lam * v))
+    if not residual <= RESIDUAL_TOL * abs(lam):
+        raise NoConvergence(f"leading eigenpair residual {residual:.3e} exceeds {RESIDUAL_TOL:g} * |lambda|")
+    return lam, v, float(abs(w[order[-2]]))
 
 
 @dataclass
@@ -120,46 +116,51 @@ class RpfSolution:
     gap: float           # |second eigenvalue| / lam
 
 
-def _leading_for_param(model, grid, s, v0=None, tol=1e-14):
-    M = assemble_transfer(model, grid, -s)
-    lam, v = power_leading(M, tol=tol, v0=v0)
-    return M, lam, v
-
-
 def critical_exponent(model, grid, tol=1e-12, max_iter=200):
-    """Bowen pressure root: the s in (0, 1) with leading eigenvalue 1 at -s tau."""
+    """Bowen pressure root: the s in (0, 1) where log lambda(s) = 0 at potential
+    -s tau, by Illinois regula falsi inside the [0, 1] bracket."""
+    def loglam(s):
+        return float(np.log(np.abs(np.linalg.eigvals(assemble_transfer(model, grid, -s))).max()))
+
     lo, hi = 0.0, 1.0
-    _, lam_lo, v = _leading_for_param(model, grid, lo)
-    _, lam_hi, _ = _leading_for_param(model, grid, hi, v0=v)
-    if not (lam_lo > 1.0 > lam_hi):
-        raise RootNotBracketed(f"leading eigenvalue is {lam_lo} at 0 and {lam_hi} at 1")
+    f_lo, f_hi = loglam(lo), loglam(hi)
+    if not (f_lo > 0.0 > f_hi):
+        raise RootNotBracketed(f"leading eigenvalue is {np.exp(f_lo)} at 0 and {np.exp(f_hi)} at 1")
+    side = 0
     for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        _, lam, v = _leading_for_param(model, grid, mid, v0=v)
-        if abs(np.log(lam)) < tol or hi - lo < 1e-15:
-            return mid
-        if lam > 1.0:
-            lo = mid
+        s = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        f = loglam(s)
+        if abs(f) < tol:
+            return s
+        # Illinois: halve the stale endpoint's value when the same side moves twice
+        if f > 0.0:
+            lo, f_lo = s, f
+            if side == 1:
+                f_hi *= 0.5
+            side = 1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, f_hi = s, f
+            if side == -1:
+                f_lo *= 0.5
+            side = -1
+    raise NoConvergence(f"pressure root not within {tol:g} after {max_iter} steps (bracket [{lo}, {hi}])")
 
 
-def rpf_solve(model, grid, a, delta=None, tol=1e-12):
+def rpf_solve(model, grid, a, delta=None):
     """RPF eigendata (lam_a, h_a, nu_a, gap) at the potential -(delta + a) tau."""
     if delta is None:
         delta = critical_exponent(model, grid)
-    M, lam, h = _leading_for_param(model, grid, delta + a, tol=min(tol, 1e-13))
+    M = assemble_transfer(model, grid, -(delta + a))
+    lam, h, rho2 = dense_leading(M)
+    _, nu, _ = dense_leading(M.T)
     if h.sum() < 0:
         h = -h
-    _, nu = power_leading(M.T, tol=min(tol, 1e-13))
     if nu.sum() < 0:
         nu = -nu
     nu = nu / nu.sum()
     h = h / (nu @ h)
-    gap = second_eigenvalue_modulus(M) / lam
     m = grid.m
-    return RpfSolution(a, float(lam), h.reshape(model.N, m), nu.reshape(model.N, m), float(gap))
+    return RpfSolution(a, float(lam), h.reshape(model.N, m), nu.reshape(model.N, m), rho2 / lam)
 
 
 class NormalizedPotential:

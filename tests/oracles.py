@@ -172,3 +172,29 @@ def cayley_lambda2_power(group, gens, tol=1e-12, max_iter=100_000, seed=0):
             return lam_new - deg
         lam, v = lam_new, u
     raise AssertionError(f"power iteration did not reach tolerance {tol}")
+
+
+def growth_rate(M, w, k_max=300, seed=0, mean_zero=False):
+    """Per-step growth rate of ||M^k H||_w on a random complex input: the
+    least-squares slope of the log-norms over the second half of k_max steps,
+    exponentiated.  This is the spectral radius of M when H has a component
+    along the leading eigenvector.  With mean_zero, the w-weighted mean is
+    removed every step, which for a normalized transfer operator (eigenfunction
+    1, eigenmeasure w) leaves the second eigenvalue modulus."""
+    rng = np.random.default_rng(seed)
+    H = rng.standard_normal(M.shape[0]) + 1j * rng.standard_normal(M.shape[0])
+    if mean_zero:
+        H -= np.sum(w * H)
+    logs = []
+    acc = 0.0
+    for _ in range(k_max):
+        H = M @ H
+        if mean_zero:
+            H -= np.sum(w * H)
+        nrm = float(np.sqrt(np.sum(w * np.abs(H) ** 2)))
+        acc += np.log(nrm)
+        logs.append(acc)
+        H /= nrm
+    lo = k_max // 2
+    fit = np.polyfit(np.arange(lo + 1, k_max + 1), np.array(logs)[lo:], 1)
+    return float(np.exp(fit[0]))

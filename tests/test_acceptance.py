@@ -362,7 +362,7 @@ def _criterion9_body(acc):
     radii = {}
     rows = []
     for b in (5.0, 20.0, 80.0):
-        radii[b], _ = twisted_radius(lab, b, seed=SEED)
+        radii[b] = twisted_radius(lab, b)
         rows.append([fmt(b), fmt(radii[b])])
     ok = all(r < 1.0 for r in radii.values())
     ok = ok and radii[20.0] <= 1.05 * radii[5.0] and radii[80.0] <= 1.05 * radii[20.0]

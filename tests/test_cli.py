@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import thinlab
 from thinlab.cli import main
 
 EXAMPLE = {"generators": [[[2, 3], [1, 2]], [[6, 35], [1, 6]]]}
@@ -73,6 +77,14 @@ def test_degree_zero_exits_2(config, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ConfigParse:")
 
 
+def test_r_prime_flag_rejected(config, tmp_path, capsys):
+    # r' is always r / l in `flatten`; the flag no longer exists
+    with pytest.raises(SystemExit) as exc:
+        main(["flatten", "--config", config, "--r", "8", "--r-prime", "3", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--r-prime" in capsys.readouterr().err
+
+
 def test_cayley_deterministic(config, tmp_path, capsys):
     out1 = str(tmp_path / "o1")
     out2 = str(tmp_path / "o2")
@@ -112,6 +124,15 @@ def test_flatten_json(config, tmp_path, capsys):
     payload = json.loads(open(os.path.join(out, _artifacts(out, "flatten")[0])).read())
     assert payload["passed"] is True
     assert payload["q"] == 5 and payload["r"] == 8
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy costs a third of a second to import; only Lanczos solves need it
+    code = "import sys, thinlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(thinlab.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 def test_thread_cap_env(monkeypatch):

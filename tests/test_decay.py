@@ -12,6 +12,19 @@ from thinlab import (
 from thinlab import decay as dc
 from thinlab import symbolic as sym
 from thinlab.errors import NotGenerating
+from thinlab.thermo import CollocationGrid, NormalizedPotential, assemble_transfer, rpf_solve
+
+from oracles import growth_rate
+
+
+def _normalized_operator(lab, b, degree):
+    """Collocation matrix of the normalized operator twisted by b at `degree`,
+    with the nu_U quadrature weights of that grid."""
+    grid = CollocationGrid(lab.model, degree)
+    sol = rpf_solve(lab.model, grid, 0.0, delta=lab.delta)
+    pot = NormalizedPotential(lab.model, grid, 0.0, lab.delta, sol.lam, sol.h)
+    M = assemble_transfer(lab.model, grid, 1j * b, normalized=True, potential=pot)
+    return M, (sol.nu * sol.h).reshape(-1)
 
 
 def _random_word_and_pair(model, rng, s):
@@ -75,7 +88,7 @@ def test_sentinel_rate_matches_gap(lab):
 def test_consistency_of_regimes(lab):
     # word-model decay at b = 0 vs grid twisted radius at b = 0 within 10%
     rate = dc.sentinel_decay_rate(lab)
-    base = dc.base_gap_rate(lab)
+    base = growth_rate(*_normalized_operator(lab, 0.0, lab.grid.m), mean_zero=True)
     assert abs(rate - base) <= 0.1 * base
 
 
@@ -140,19 +153,25 @@ def test_monotone_norm_chain(model, lab, groups, consts):
 
 
 def test_twisted_radius_b0_matches_gap(lab):
-    assert abs(dc.base_gap_rate(lab) - lab.rpf(0.0).gap) <= 0.01 * lab.rpf(0.0).gap
+    rate = growth_rate(*_normalized_operator(lab, 0.0, lab.grid.m), mean_zero=True)
+    assert abs(rate - lab.rpf(0.0).gap) <= 0.01 * lab.rpf(0.0).gap
 
 
 @pytest.mark.parametrize("b", [5.0, 20.0, 80.0])
 def test_twisted_radius_contracts(lab, b):
-    radius, _ = twisted_radius(lab, b, seed=0)
-    assert radius < 1.0
+    assert twisted_radius(lab, b) < 1.0
+
+
+@pytest.mark.parametrize("b", [5.0, 20.0])
+def test_twisted_radius_matches_growth_oracle(lab, b):
+    degree = max(24, int(2 * b))  # the default of twisted_radius
+    rate = growth_rate(*_normalized_operator(lab, b, degree))
+    assert abs(twisted_radius(lab, b, degree) - rate) <= 1e-6
 
 
 def test_twisted_radius_conjugation_symmetry(lab):
-    r_plus, _ = twisted_radius(lab, 20.0, seed=0)
-    r_minus, _ = twisted_radius(lab, -20.0, seed=0, conj_input=True)
-    assert abs(r_plus - r_minus) <= 1e-6
+    # the operator at -b is the complex conjugate of the one at b
+    assert abs(twisted_radius(lab, 20.0) - twisted_radius(lab, -20.0)) <= 1e-6
 
 
 def test_budget_exceeded(model, lab, groups, consts, expansion):

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+import thinlab
 from thinlab import (
     CongruenceFunction,
     MobiusMap,
@@ -226,15 +233,66 @@ def test_flattening_pipeline_passes(model, lab, groups, expansion):
     assert rep.entries["eta_contraction"]["ratio"] < 1.0
 
 
-def test_conv_opnorm_iteration_raises_when_unconverged(groups):
+def _random_measure(group, atoms, seed):
+    rng = np.random.default_rng(seed)
+    weights = np.zeros(group.order, dtype=complex)
+    weights[rng.choice(group.order, size=atoms, replace=False)] = rng.random(atoms)
+    return weights
+
+
+def _stalled_eigsh(*args, **kwargs):
+    raise scipy.sparse.linalg.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+
+def test_conv_opnorm_iteration_raises_when_unconverged(groups, monkeypatch):
     g13 = groups(13)
-    rng = np.random.default_rng(16)
-    weights = np.zeros(g13.order, dtype=complex)
-    weights[rng.choice(g13.order, size=50, replace=False)] = rng.random(50)
+    weights = _random_measure(g13, 50, 16)
     mz = ex.mean_zero_projector(g13)
-    with pytest.raises(NoConvergence):
-        ex.conv_opnorm(g13, weights, mz, svd_cap=0, max_iter=3)
     assert 0.0 < ex.conv_opnorm(g13, weights, mz, svd_cap=0) <= np.abs(weights).sum()
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _stalled_eigsh)
+    with pytest.raises(NoConvergence):
+        ex.conv_opnorm(g13, weights, mz, svd_cap=0)
+
+
+def test_conv_opnorm_lanczos_matches_dense(groups):
+    g13 = groups(13)
+    weights = _random_measure(g13, 50, 16)
+    for proj in (ex.mean_zero_projector(g13), ex.new_space_projector(g13)):
+        dense = ex.conv_opnorm(g13, weights, proj)
+        assert abs(ex.conv_opnorm(g13, weights, proj, svd_cap=0) - dense) <= 1e-10 * dense
+
+
+def test_cayley_gap_raises_when_lanczos_fails(model, groups, expansion, monkeypatch):
+    S = build_return_set(model, 0, 0, expansion["p"])
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def shifted_eigsh(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        return vals + 1e-6, vecs
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _stalled_eigsh)
+    with pytest.raises(NoConvergence):
+        cayley_gap(S, groups(5))
+    # converged but wrong Ritz values fail the residual check
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", shifted_eigsh)
+    with pytest.raises(NoConvergence):
+        cayley_gap(S, groups(5))
+
+
+def test_cayley_gap_reproducible_across_processes(expansion):
+    script = (
+        "from thinlab import cayley_gap, build_return_set, GroupModQ\n"
+        "from thinlab.schottky import SchottkyData, build_markov_model\n"
+        "doc = {'generators': [[[2, 3], [1, 2]], [[6, 35], [1, 6]]]}\n"
+        "model = build_markov_model(SchottkyData.from_json_dict(doc))\n"
+        f"S = build_return_set(model, 0, 0, {expansion['p']})\n"
+        "print(cayley_gap(S, GroupModQ.build(15), seed=106)[1].hex())\n"
+    )
+    src = str(Path(thinlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outs = {subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                           check=True).stdout for _ in range(3)}
+    assert len(outs) == 1
 
 
 def test_min_nontrivial_irrep_dimension(groups):

@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
 
 from thinlab import CollocationGrid, ThermoLab, assemble_transfer, rpf_solve
 from thinlab import symbolic as sym
+from thinlab.errors import NoConvergence
+from thinlab.thermo import critical_exponent, dense_leading
 
 from oracles import refinement_dimension
 
@@ -120,6 +123,18 @@ def test_critical_exponent_vs_refinement_oracle(model, lab):
 def test_critical_exponent_degree_stability(model, lab):
     lab32 = ThermoLab(model, degree=32)
     assert abs(lab32.delta - lab.delta) <= 1e-8
+
+
+def test_critical_exponent_raises_when_unconverged(model, lab):
+    with pytest.raises(NoConvergence):
+        critical_exponent(model, lab.grid, max_iter=2)
+
+
+def test_dense_leading_rejects_complex_leading_pair():
+    # a real rotation has leading pair +-i; its real part is no eigenvector
+    rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+    with pytest.raises(NoConvergence):
+        dense_leading(rot)
 
 
 def test_normalize_two_paths_agree(model, lab):
