@@ -29,6 +29,7 @@ from .schottky import SchottkyData, build_markov_model, validate_schottky
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+CONFIG_KEYS = ("generators", "theta", "degree", "depth", "q", "p", "l", "seed", "out_dir")
 
 
 def fmt(x):
@@ -69,12 +70,20 @@ def load_config(path, args):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigParse(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigParse(f"config {path} must hold a JSON object")
+    unknown = sorted(set(doc) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigParse(f"unknown config keys {unknown}; known keys are {list(CONFIG_KEYS)}")
     cfg = RunConfig(group_path=path)
     for key in ("theta", "degree", "depth", "p", "l", "seed", "out_dir"):
         if key in doc:
             setattr(cfg, key, doc[key])
     if "q" in doc:
-        cfg.q_list = [int(q) for q in doc["q"]]
+        qs = doc["q"]
+        if not isinstance(qs, list) or any(isinstance(q, bool) or not isinstance(q, int) for q in qs):
+            raise ConfigParse(f"q must be a list of integers, got {qs!r}")
+        cfg.q_list = qs
     for key in ("degree", "depth", "seed", "p", "l"):
         v = getattr(args, key, None)
         if v is not None:
@@ -83,8 +92,6 @@ def load_config(path, args):
         cfg.q_list = [int(s) for s in args.q.split(",")]
     if getattr(args, "out", None):
         cfg.out_dir = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
     return cfg, doc
 
 

@@ -220,13 +220,13 @@ class CongruenceFunction:
     """Function on depth-D cylinders with values in C^{F_q}, stored dense."""
 
     depth: int
-    words: tuple
+    words: np.ndarray    # symbolic.word_table(T, depth)
     group: GroupModQ
     values: np.ndarray  # (n_cylinders, order) complex
 
     @classmethod
     def build(cls, model, group, depth, fill=None):
-        words = tuple(symbolic.all_words(model.T, depth))
+        words = symbolic.word_table(model.T, depth)
         vals = np.zeros((len(words), group.order), dtype=complex)
         if fill is not None:
             vals[:] = fill
@@ -234,7 +234,7 @@ class CongruenceFunction:
 
     @classmethod
     def random(cls, model, group, depth, rng):
-        words = tuple(symbolic.all_words(model.T, depth))
+        words = symbolic.word_table(model.T, depth)
         shape = (len(words), group.order)
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         return cls(depth, words, group, vals)
@@ -243,15 +243,13 @@ class CongruenceFunction:
     def random_dtheta_lipschitz(cls, model, group, depth, rng, theta):
         """Random function with fluctuations of size theta^m at symbol depth m,
         i.e. d_theta-Lipschitz with its modulus saturated at every scale."""
-        words = tuple(symbolic.all_words(model.T, depth))
+        words = symbolic.word_table(model.T, depth)
         vals = np.zeros((len(words), group.order), dtype=complex)
         for m in range(depth):
-            prefixes = symbolic.all_words(model.T, m + 1)
-            pidx = {w: i for i, w in enumerate(prefixes)}
+            prefixes = symbolic.word_table(model.T, m + 1)
             g = rng.standard_normal((len(prefixes), group.order)) \
                 + 1j * rng.standard_normal((len(prefixes), group.order))
-            rows = np.array([pidx[w[: m + 1]] for w in words])
-            vals += theta**m * g[rows]
+            vals += theta**m * g[symbolic.word_rank(prefixes, words[:, : m + 1], model.N)]
         return cls(depth, words, group, vals)
 
     @classmethod
@@ -262,19 +260,16 @@ class CongruenceFunction:
         words, anchors = lab.anchors(depth)
         mid = model.intervals.mean(axis=1)
         half = np.diff(model.intervals, axis=1)[:, 0] / 2.0
-        first = np.array([w[0] for w in words])
+        first = words[:, 0]
         t = (anchors - mid[first]) / half[first]
         basis = np.stack([np.cos(k * np.arccos(np.clip(t, -1, 1))) for k in range(poly_degree + 1)], axis=1)
         scale = decay ** np.arange(poly_degree + 1)
         coef = (rng.standard_normal((poly_degree + 1, group.order))
                 + 1j * rng.standard_normal((poly_degree + 1, group.order))) * scale[:, None]
-        return cls(depth, tuple(words), group, basis @ coef)
+        return cls(depth, words, group, basis @ coef)
 
     def copy(self):
         return CongruenceFunction(self.depth, self.words, self.group, self.values.copy())
-
-    def word_index(self):
-        return {w: i for i, w in enumerate(self.words)}
 
 
 def cf_l2_norm(H, masses):
@@ -290,24 +285,22 @@ def cf_lip(H, theta):
 
     Pairs are scanned by shared-prefix depth; a pair first disagreeing at index
     k contributes its quotient at the class of depth k, where it is maximal.
+    The rows are lexicographic, so each k-prefix class is a contiguous block.
     """
-    depth = H.depth
     vals = H.values
     words = H.words
     sq = np.sum(np.abs(vals) ** 2, axis=1).real
     best = 0.0
-    for k in range(1, depth):
-        # group cylinders by their k-symbol prefix
-        classes = {}
-        for i, w in enumerate(words):
-            classes.setdefault(w[:k], []).append(i)
+    for k in range(1, H.depth):
+        starts = np.flatnonzero(np.any(words[1:, :k] != words[:-1, :k], axis=1)) + 1
+        bounds = np.concatenate([[0], starts, [len(words)]])
         scale = theta**k
-        for members in classes.values():
-            if len(members) < 2:
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi - lo < 2:
                 continue
-            block = vals[members]
+            block = vals[lo:hi]
             gram = block @ block.conj().T
-            nn = sq[members]
+            nn = sq[lo:hi]
             d2 = nn[:, None] + nn[None, :] - 2.0 * gram.real
             best = max(best, float(np.sqrt(max(d2.max(), 0.0))) / scale)
     return best
@@ -329,7 +322,6 @@ class CongruenceOperator:
         model = lab.model
         pot = lab.potential(a)
         words, anchors = lab.anchors(depth)
-        index = {w: i for i, w in enumerate(words)}
         self.model = model
         self.group = group
         self.depth = depth
@@ -338,7 +330,7 @@ class CongruenceOperator:
         self.words = words
         self.targets = []
         N = model.N
-        first = np.array([w[0] for w in words])
+        first = words[:, 0]
         logh_anchor = np.empty(len(words))
         for s in range(N):
             sel = np.flatnonzero(first == s)
@@ -346,7 +338,8 @@ class CongruenceOperator:
                 logh_anchor[sel] = pot.logh0_at(s, anchors[sel])
         for j in range(N):
             mask = np.flatnonzero(model.T[j, first])
-            src = np.array([index[(j,) + words[i][:-1]] for i in mask])
+            shifted = np.column_stack([np.full(mask.size, j, dtype=np.int8), words[mask, :-1]])
+            src = symbolic.word_rank(words, shifted, N)
             v = model.inv_branch(j, anchors[mask])
             tau = model.tau(j, v)
             logh_v = pot.logh0_at(j, v)

@@ -10,7 +10,7 @@ import numpy as np
 from . import congruence, symbolic
 from .congruence import CongruenceFunction, CongruenceOperator, cf_l2_norm, cf_lip, cf_sup_norm
 from .errors import BudgetExceeded, NotGenerating
-from .thermo import CollocationGrid, NormalizedPotential, assemble_transfer, dense_leading, rpf_solve
+from .thermo import CollocationGrid, NormalizedPotential, assemble_transfer, dense_leading
 
 
 @dataclass
@@ -214,13 +214,16 @@ def twisted_radius(lab, b, degree=None):
     """Spectral radius of the normalized twisted operator at xi = i b: the
     largest eigenvalue modulus of its collocation matrix, residual-checked.
 
-    The collocation degree scales with |b| so the oscillation is resolved.
+    The collocation degree scales with |b| so the oscillation is resolved; h
+    normalizes the potential only up to its (positive) scale.
     """
     model = lab.model
     if degree is None:
         degree = max(24, int(ceil(2.0 * abs(b))))
     grid = CollocationGrid(model, degree)
-    sol = rpf_solve(model, grid, 0.0, delta=lab.delta)
-    pot = NormalizedPotential(model, grid, 0.0, lab.delta, sol.lam, sol.h)
+    lam0, h, _ = dense_leading(assemble_transfer(model, grid, -lab.delta))
+    if h.sum() < 0:
+        h = -h
+    pot = NormalizedPotential(model, grid, 0.0, lab.delta, float(lam0), h.reshape(model.N, degree))
     lam, _, _ = dense_leading(assemble_transfer(model, grid, 1j * float(b), normalized=True, potential=pot))
     return float(abs(lam))

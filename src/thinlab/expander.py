@@ -15,8 +15,8 @@ import numpy as np
 from . import congruence, symbolic
 from .congruence import GroupModQ, cf_lip, cocycle_mod
 from .errors import DepthExhausted, EnumerationTooLarge, GroupTooSmall, NoConvergence, NotGenerating
-from .symbolic import SymbolicPoint, all_words, enumerate_words, omega_tail
-from .thermo import MAX_LEAVES, RESIDUAL_TOL, Walk
+from .symbolic import MAX_LEAVES, SymbolicPoint, all_words, enumerate_words, omega_tail
+from .thermo import RESIDUAL_TOL, Walk
 
 SVD_ORDER = 2000
 LANCZOS_TOL = 1e-12
@@ -253,10 +253,7 @@ def transfer_apply_at(lab, group, H, xi, s, x, cap=MAX_LEAVES):
         words = np.concatenate([words, fill], axis=1)
     else:
         words = words[:, :depth]
-    codes = _encode_words(words, model.N)
-    table, order = _word_code_table(H.words, model.N)
-    pos = np.searchsorted(table, codes)
-    cyl = order[pos]
+    cyl = symbolic.word_rank(H.words, words, model.N)
     weights = np.exp(walk.f + 1j * xi.imag * walk.tau)
     out = np.zeros(group.order, dtype=complex)
     inv = group.inv_perm()
@@ -264,22 +261,6 @@ def transfer_apply_at(lab, group, H, xi, s, x, cap=MAX_LEAVES):
         perm = group.right_mul_perm(int(inv[walk.cidx[leaf]]))
         out += weights[leaf] * H.values[cyl[leaf]][perm]
     return out
-
-
-def _encode_words(words, base):
-    codes = np.zeros(words.shape[0], dtype=np.int64)
-    for col in range(words.shape[1]):
-        codes = codes * base + words[:, col]
-    return codes
-
-
-def _word_code_table(word_list, base):
-    arr = np.array(word_list, dtype=np.int64)
-    codes = np.zeros(arr.shape[0], dtype=np.int64)
-    for col in range(arr.shape[1]):
-        codes = codes * base + arr[:, col]
-    order = np.argsort(codes)
-    return codes[order], order
 
 
 def approx_transfer_check(lab, group, H, xi, r, s, anchors=None, cap=MAX_LEAVES):
@@ -299,19 +280,21 @@ def approx_transfer_check(lab, group, H, xi, r, s, anchors=None, cap=MAX_LEAVES)
     lip = cf_lip(H, theta)
     bound = consts.C_f * lip * theta ** (s - r)
     tails = all_words(model.T, s - r)
-    index = H.word_index()
+    # a tail's cylinder (tail + omega tail) and fiber permutation do not depend on x
+    ext = []
+    perms = []
+    for tail in tails:
+        period = omega_tail(model.T, tail[-1]).period
+        ext.append((tail + period * ((H.depth - len(tail)) // len(period) + 1))[: H.depth])
+        perms.append(group.right_mul_perm(int(group.inv_perm()[cocycle_mod(model, tail[:-1], group)])))
+    cyls = symbolic.word_rank(H.words, ext, model.N)
     residuals = []
     for x in anchors:
         exact = transfer_apply_at(lab, group, H, xi, s, x, cap=cap)
         approx = np.zeros(group.order, dtype=complex)
-        for tail in tails:
+        for tail, cyl, perm in zip(tails, cyls, perms):
             meas = build_measures(lab, group, x, r, s, tail, xi, cap=cap)
-            omega = omega_tail(model.T, tail[-1])
-            ext = tail + tuple(omega.period) * ((H.depth - len(tail)) // len(omega.period) + 1)
-            cyl = index[ext[: H.depth]]
-            perm = group.right_mul_perm(int(group.inv_perm()[cocycle_mod(model, tail[:-1], group)]))
-            phi = H.values[cyl][perm]
-            approx += convolve(meas["mu"], phi)
+            approx += convolve(meas["mu"], H.values[cyl][perm])
         residuals.append(float(np.linalg.norm(exact - approx)))
     residuals = np.array(residuals)
     sup = float(residuals.max())

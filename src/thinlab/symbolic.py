@@ -12,8 +12,10 @@ from math import gcd, sqrt
 
 import numpy as np
 
-from .errors import InadmissibleWord, NotMixing
+from .errors import EnumerationTooLarge, InadmissibleWord, NotMixing
 from .schottky import IDENTITY
+
+MAX_LEAVES = 5_000_000
 
 
 # ---- transition structure ----
@@ -36,6 +38,39 @@ def admissible(T, word):
     return all(T[a, b] for a, b in zip(word, word[1:]))
 
 
+def word_table(T, depth):
+    """All admissible words of `depth` symbols as the rows of an (n, depth)
+    int8 array, lexicographic (np.nonzero runs in row-major order).
+    EnumerationTooLarge past MAX_LEAVES rows, the cap of the prepend walk."""
+    table = np.arange(T.shape[0], dtype=np.int8)[:, None]
+    for _ in range(depth - 1):
+        succ = T[table[:, -1]]
+        if np.count_nonzero(succ) > MAX_LEAVES:
+            raise EnumerationTooLarge(f"depth-{depth} word table grew past {MAX_LEAVES} rows")
+        parent, nxt = np.nonzero(succ)
+        table = np.concatenate([table[parent], nxt[:, None].astype(np.int8)], axis=1)
+    return table
+
+
+def word_rank(table, words, n):
+    """Row index in the word table `table` of every word in `words` (shape
+    (..., depth)); the rows read as base-n integers are sorted, so one
+    searchsorted finds them.  InadmissibleWord for a word not in the table."""
+    words = np.asarray(words)
+    digits = n ** np.arange(table.shape[1] - 1, -1, -1, dtype=np.int64)
+    codes = table.astype(np.int64) @ digits
+    keys = words.reshape(-1, table.shape[1]).astype(np.int64) @ digits
+    pos = np.searchsorted(codes, keys)
+    if np.any(pos >= codes.size) or np.any(codes[np.minimum(pos, codes.size - 1)] != keys):
+        raise InadmissibleWord(f"word not in the depth-{table.shape[1]} table")
+    return pos.reshape(words.shape[:-1])
+
+
+def all_words(T, depth):
+    """All admissible words of `depth` symbols as tuples, lexicographic."""
+    return list(map(tuple, word_table(T, depth).tolist()))
+
+
 def enumerate_words(T, y, z, p, max_steps=16):
     """All admissible words with p steps (p+1 symbols) from y to z, lexicographic.
 
@@ -43,52 +78,8 @@ def enumerate_words(T, y, z, p, max_steps=16):
     """
     if p > max_steps:
         raise InadmissibleWord(f"refusing enumeration of {p}-step words (cap {max_steps})")
-    if p == 0:
-        return [(y,)] if y == z else []
-    n = T.shape[0]
-    out = []
-    stack = [(y,)]
-    while stack:
-        w = stack.pop()
-        if len(w) == p:
-            if T[w[-1], z]:
-                out.append(w + (z,))
-            continue
-        for s in range(n - 1, -1, -1):
-            if T[w[-1], s]:
-                stack.append(w + (s,))
-    out.sort()
-    return out
-
-
-def iter_words(T, y, z, p):
-    """Streaming variant of enumerate_words: yields admissible p-step words
-    from y to z in lexicographic order without materializing the list."""
-    n = T.shape[0]
-    if p == 0:
-        if y == z:
-            yield (y,)
-        return
-
-    def extend(w):
-        if len(w) == p:
-            if T[w[-1], z]:
-                yield w + (z,)
-            return
-        for s in range(n):
-            if T[w[-1], s]:
-                yield from extend(w + (s,))
-
-    yield from extend((y,))
-
-
-def all_words(T, depth):
-    """All admissible words of `depth` symbols, lexicographic."""
-    n = T.shape[0]
-    words = [(j,) for j in range(n)]
-    for _ in range(depth - 1):
-        words = [w + (s,) for w in words for s in range(n) if T[w[-1], s]]
-    return words
+    table = word_table(T, p + 1)
+    return list(map(tuple, table[(table[:, 0] == y) & (table[:, -1] == z)].tolist()))
 
 
 # ---- symbolic points ----

@@ -14,9 +14,7 @@ import numpy as np
 
 from . import symbolic
 from .errors import EnumerationTooLarge, InadmissibleWord, NoConvergence, RootNotBracketed
-from .symbolic import all_words, lip_quotient_pairs
-
-MAX_LEAVES = 5_000_000
+from .symbolic import MAX_LEAVES, lip_quotient_pairs, word_table
 
 
 class CollocationGrid:
@@ -324,12 +322,9 @@ class ThermoLab:
 
     # ---- cylinder data on depth-D words ----
 
-    def words(self, depth):
-        return all_words(self.model.T, depth)
-
     def anchors(self, depth):
-        """Point of every depth-D cylinder: its word prepended to the omega
-        continuation of its last symbol."""
+        """(word_table, points): the point of every depth-D cylinder, its word
+        prepended to the omega continuation of its last symbol."""
         if depth not in self._anchors:
             model = self.model
             base = [symbolic.eval_point(model, symbolic.SymbolicPoint((k,), symbolic.omega_tail(model.T, k).period),
@@ -337,11 +332,12 @@ class ThermoLab:
             walk = Walk(model, self.potential(0.0), np.arange(model.N), base)
             for _ in range(depth - 1):
                 walk.step(range(model.N))
-            self._anchors[depth] = (self.words(depth), walk.v)
+            self._anchors[depth] = (word_table(model.T, depth), walk.v)
         return self._anchors[depth]
 
     def cylinder_masses(self, depth):
-        """nu_U mass of every depth-D cylinder, by quadrature pulled through the word."""
+        """(word_table, masses): the nu_U mass of every depth-D cylinder, by
+        quadrature pulled through the word."""
         if depth not in self._masses:
             model, m = self.model, self.grid.m
             sol = self.rpf(0.0)
@@ -349,9 +345,8 @@ class ThermoLab:
             walk = Walk(model, self.potential(0.0), np.repeat(np.arange(model.N), m), self.grid.nodes.reshape(-1))
             for _ in range(depth - 1):
                 walk.step(range(model.N))
-            words = self.words(depth)
-            last = np.array([w[-1] for w in words])
-            masses = np.sum(w_U[last] * np.exp(walk.f.reshape(-1, m)), axis=1)
+            words = word_table(model.T, depth)
+            masses = np.sum(w_U[words[:, -1]] * np.exp(walk.f.reshape(-1, m)), axis=1)
             self._masses[depth] = (words, masses)
         return self._masses[depth]
 

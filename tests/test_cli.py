@@ -72,6 +72,19 @@ def test_config_non_integer_degree_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ConfigParse:")
 
 
+@pytest.mark.parametrize("extra, message", [
+    ({"dpeth": 3}, "'dpeth'"),              # a misspelled key must not fall back to the default
+    ({"q": 5}, "list of integers"),         # a scalar must not end in a TypeError traceback
+    ({"q": [5, 7.5]}, "list of integers"),  # 7.5 must not be truncated to q = 7
+], ids=["unknown_key", "q_scalar", "q_float"])
+def test_config_bad_keys_exit_2(tmp_path, capsys, extra, message):
+    path = tmp_path / "G.json"
+    path.write_text(json.dumps(dict(EXAMPLE, **extra)))
+    assert main(["delta", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigParse:") and message in err
+
+
 def test_degree_zero_exits_2(config, tmp_path, capsys):
     assert main(["delta", "--config", config, "--degree", "0", "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("ConfigParse:")

@@ -98,9 +98,9 @@ def test_apply_sentinel_matches_manual_sum(model, lab, groups):
     H = CongruenceFunction.random(model, g1, depth, rng)
     out = congruence_apply(lab, g1, H, 0.0 + 0.4j, 1)
     words, anchors = lab.anchors(depth)
-    index = {w: i for i, w in enumerate(words)}
+    index = {w: i for i, w in enumerate(map(tuple, words.tolist()))}
     pot = lab.potential(0.0)
-    for i, w in enumerate(words):
+    for i, w in enumerate(map(tuple, words.tolist())):
         acc = 0.0
         for j in range(model.N):
             if not model.admissible(j, w[0]):

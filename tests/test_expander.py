@@ -169,8 +169,8 @@ def test_approx_exact_on_locally_constant(model, lab, groups):
     r, s, depth = 4, 6, 6
     low = CongruenceFunction.random(model, g5, min(r, s - r), rng)
     lift = CongruenceFunction.build(model, g5, depth)
-    idx = {w: i for i, w in enumerate(low.words)}
-    for i, w in enumerate(lift.words):
+    idx = {w: i for i, w in enumerate(map(tuple, low.words.tolist()))}
+    for i, w in enumerate(map(tuple, lift.words.tolist())):
         lift.values[i] = low.values[idx[w[: low.depth]]]
     rep = approx_transfer_check(lab, g5, lift, 0.3j, r, s)
     assert rep["sup"] <= 1e-9

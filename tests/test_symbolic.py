@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from thinlab import birkhoff, d_theta, enumerate_words, eval_point, mixing_exponent
 from thinlab import symbolic as sym
-from thinlab.errors import InadmissibleWord, NotMixing
+from thinlab.errors import EnumerationTooLarge, InadmissibleWord, NotMixing
 from thinlab.schottky import IDENTITY
 
 from oracles import brute_force_words
@@ -151,12 +153,19 @@ def test_omega_tail_smallest(model):
         assert all(not model.T[y, j] for j in range(k))
 
 
-def test_iter_words_streams_lexicographically(model):
-    got = list(sym.iter_words(model.T, 0, 0, 3))
-    assert got == enumerate_words(model.T, 0, 0, 3)
-    long = sym.iter_words(model.T, 0, 0, 18)  # past the list cap, lazily fine
-    first = next(long)
-    assert first[0] == 0 and first[-1] == 0 and len(first) == 19
+def test_word_table_and_rank(model):
+    T = model.T
+    for depth in range(1, 7):
+        table = sym.word_table(T, depth)
+        brute = [w for w in itertools.product(range(model.N), repeat=depth) if sym.admissible(T, w)]
+        assert table.dtype == np.int8
+        assert list(map(tuple, table.tolist())) == brute
+        assert np.array_equal(sym.word_rank(table, table, model.N), np.arange(len(table)))
+    with pytest.raises(InadmissibleWord):
+        sym.word_rank(sym.word_table(T, 2), [[0, model.bar[0]]], model.N)
+    # depth 14 would hold 4 * 3^13 rows, past the walk's cap; refused before it is built
+    with pytest.raises(EnumerationTooLarge):
+        enumerate_words(T, 0, 0, 16)
 
 
 def test_sum_exp_f_matches_birkhoff_sum(model, lab):

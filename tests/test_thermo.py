@@ -99,7 +99,7 @@ def test_cylinder_data_match_per_word_loops(model, lab):
     for depth in (1, 3, 5):
         words, anchors = lab.anchors(depth)
         _, masses = lab.cylinder_masses(depth)
-        for i, w in enumerate(words):
+        for i, w in enumerate(map(tuple, words.tolist())):
             x = sym.SymbolicPoint(w, sym.omega_tail(model.T, w[-1]).period)
             assert abs(anchors[i] - sym.eval_point(model, x)) <= 1e-12 * abs(anchors[i])
             k, v, f = w[-1], lab.grid.nodes[w[-1]], 0.0
