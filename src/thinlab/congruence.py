@@ -268,9 +268,6 @@ class CongruenceFunction:
                 + 1j * rng.standard_normal((poly_degree + 1, group.order))) * scale[:, None]
         return cls(depth, words, group, basis @ coef)
 
-    def copy(self):
-        return CongruenceFunction(self.depth, self.words, self.group, self.values.copy())
-
 
 def cf_l2_norm(H, masses):
     return float(np.sqrt(np.sum(masses * np.sum(np.abs(H.values) ** 2, axis=1))))
@@ -316,47 +313,49 @@ class CongruenceOperator:
     Weights are exp(f^(a) + i b tau) evaluated at the exact preimage of each
     cylinder anchor, so the operator is the depth-D locally constant surrogate
     of the normalized operator (error O(theta^D) against the continuum one).
+    A step permutes the fiber columns of each first-symbol block (the rows
+    branch j reads), then applies the sparse cylinder shift S, which at q = 1
+    is the base operator.  The permuted fibers go to one buffer per operator,
+    so two threads must not apply the same operator at once.
     """
 
     def __init__(self, lab, group, b, depth, a=0.0):
+        from scipy import sparse
         model = lab.model
         pot = lab.potential(a)
         words, anchors = lab.anchors(depth)
-        self.model = model
-        self.group = group
-        self.depth = depth
-        self.b = float(b)
-        self.a = float(a)
         self.words = words
-        self.targets = []
-        N = model.N
+        self.shape = (len(words), group.order)
+        self._permuted = np.empty(self.shape, dtype=complex)
         first = words[:, 0]
-        logh_anchor = np.empty(len(words))
-        for s in range(N):
-            sel = np.flatnonzero(first == s)
-            if sel.size:
-                logh_anchor[sel] = pot.logh0_at(s, anchors[sel])
-        for j in range(N):
+        bounds = np.searchsorted(first, np.arange(model.N + 1))
+        logh_anchor = np.concatenate([pot.logh0_at(s, anchors[lo:hi])
+                                      for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))])
+        self.blocks = []
+        rows, cols, data = [], [], []
+        for j in range(model.N):
             mask = np.flatnonzero(model.T[j, first])
             shifted = np.column_stack([np.full(mask.size, j, dtype=np.int8), words[mask, :-1]])
-            src = symbolic.word_rank(words, shifted, N)
             v = model.inv_branch(j, anchors[mask])
             tau = model.tau(j, v)
-            logh_v = pot.logh0_at(j, v)
-            logh_parent = logh_anchor[mask]
-            weight = np.exp(pot.f_from_parts(tau, logh_v, logh_parent) + 1j * self.b * tau)
-            if group.q == 1:
-                perm = np.array([0])
-            else:
-                gidx = group.reduce(model.gens[j])
-                perm = group.right_mul_perm(int(group.inv_perm()[gidx]))
-            self.targets.append((mask, src, weight, perm))
+            f = pot.f_from_parts(tau, pot.logh0_at(j, v), logh_anchor[mask])
+            rows.append(mask)
+            cols.append(symbolic.word_rank(words, shifted, model.N))
+            data.append(np.exp(f + 1j * float(b) * tau))
+            gidx = group.reduce(model.gens[j])
+            self.blocks.append((bounds[j], bounds[j + 1], group.right_mul_perm(int(group.inv_perm()[gidx]))))
+        # no (row, column) pair repeats; a row's columns ascend with the branch j
+        self.S = sparse.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                                   shape=(len(words), len(words)))
 
     def apply(self, values):
-        out = np.zeros_like(values)
-        for mask, src, weight, perm in self.targets:
-            out[mask] += weight[:, None] * values[src][:, perm]
-        return out
+        values = np.asarray(values, dtype=complex)
+        if values.shape != self.shape:
+            raise ModulusMismatch(f"fiber values of shape {values.shape}, operator acts on {self.shape}")
+        # mode="clip" (never clips: perms are in range) writes unbuffered into out
+        for lo, hi, perm in self.blocks:
+            np.take(values[lo:hi], perm, axis=1, out=self._permuted[lo:hi], mode="clip")
+        return self.S @ self._permuted
 
     def apply_k(self, values, k):
         for _ in range(k):
@@ -372,7 +371,7 @@ def congruence_apply(lab, group, H, xi, k, streaming=False):
     if k > H.depth and not streaming:
         raise DepthExhausted(f"k = {k} exceeds cylinder depth {H.depth}; pass streaming=True")
     op = CongruenceOperator(lab, group, xi.imag, H.depth, a=xi.real)
-    return CongruenceFunction(H.depth, H.words, H.group, op.apply_k(H.values.copy(), k))
+    return CongruenceFunction(H.depth, H.words, H.group, op.apply_k(H.values, k))
 
 
 # ---- new-vector decomposition ----

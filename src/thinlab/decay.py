@@ -164,7 +164,7 @@ def supnorm_lipschitz_check(lab, group, schedule, xi, seed, depth=6, decomp=None
     if denom == 0.0:
         return {"ratio_inf": 0.0, "ratio_lip": 0.0, "shape_bound": shape, "s_q": schedule.s_q}
     op = CongruenceOperator(lab, group, xi.imag, H.depth, a=xi.real)
-    out = CongruenceFunction(H.depth, H.words, group, op.apply_k(H.values.copy(), schedule.s_q))
+    out = CongruenceFunction(H.depth, H.words, group, op.apply_k(H.values, schedule.s_q))
     ratio_inf = cf_sup_norm(out) / denom
     ratio_lip = cf_lip(out, theta) / denom
     return {"ratio_inf": float(ratio_inf), "ratio_lip": float(ratio_lip), "shape_bound": shape,
@@ -178,9 +178,8 @@ def sentinel_decay_rate(lab, depth=6, seed=5, steps=16, window=(6, 15)):
     group = GroupModQ.build(1)
     H = CongruenceFunction.random_lipschitz(lab, group, depth, np.random.default_rng(seed))
     _, masses = lab.cylinder_masses(depth)
-    H.values -= np.sum(masses[:, None] * H.values, axis=0)
     op = CongruenceOperator(lab, group, 0.0, depth, a=0.0)
-    vals = H.values.copy()
+    vals = H.values - np.sum(masses[:, None] * H.values, axis=0)
     norms = []
     for _ in range(steps):
         norms.append(float(np.sqrt(np.sum(masses * np.abs(vals[:, 0]) ** 2))))

@@ -198,3 +198,34 @@ def growth_rate(M, w, k_max=300, seed=0, mean_zero=False):
     lo = k_max // 2
     fit = np.polyfit(np.arange(lo + 1, k_max + 1), np.array(logs)[lo:], 1)
     return float(np.exp(fit[0]))
+
+
+def congruence_apply_branches(lab, group, b, a, depth, values):
+    """One congruence-operator step as a sum over branches: branch j gathers
+    its source rows, permutes their fibers, weights them and adds them into
+    the rows it maps to.  A regression oracle for the factored operator."""
+    from thinlab import symbolic
+
+    model = lab.model
+    pot = lab.potential(a)
+    words, anchors = lab.anchors(depth)
+    first = words[:, 0]
+    logh_anchor = np.empty(len(words))
+    for s in range(model.N):
+        sel = np.flatnonzero(first == s)
+        if sel.size:
+            logh_anchor[sel] = pot.logh0_at(s, anchors[sel])
+    out = np.zeros_like(values, dtype=complex)
+    for j in range(model.N):
+        mask = np.flatnonzero(model.T[j, first])
+        shifted = np.column_stack([np.full(mask.size, j, dtype=np.int8), words[mask, :-1]])
+        src = symbolic.word_rank(words, shifted, model.N)
+        v = model.inv_branch(j, anchors[mask])
+        tau = model.tau(j, v)
+        weight = np.exp(pot.f_from_parts(tau, pot.logh0_at(j, v), logh_anchor[mask]) + 1j * b * tau)
+        if group.q == 1:
+            perm = np.array([0])
+        else:
+            perm = group.right_mul_perm(int(group.inv_perm()[group.reduce(model.gens[j])]))
+        out[mask] += weight[:, None] * values[src][:, perm]
+    return out

@@ -85,6 +85,15 @@ def test_config_bad_keys_exit_2(tmp_path, capsys, extra, message):
     assert err.startswith("ConfigParse:") and message in err
 
 
+@pytest.mark.parametrize("theta", [[1], 1.5, 0, True], ids=["list", "above_one", "zero", "bool"])
+def test_config_bad_theta_exit_2(tmp_path, capsys, theta):
+    # d_theta is a metric contraction only for a real 0 < theta < 1
+    path = tmp_path / "G.json"
+    path.write_text(json.dumps(dict(EXAMPLE, theta=theta)))
+    assert main(["delta", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("ConfigParse: theta")
+
+
 def test_degree_zero_exits_2(config, tmp_path, capsys):
     assert main(["delta", "--config", config, "--degree", "0", "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("ConfigParse:")

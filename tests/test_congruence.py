@@ -11,9 +11,9 @@ from thinlab import (
     project_and_scale,
 )
 from thinlab import congruence as cg
-from thinlab.errors import BadPrime, DepthExhausted, NotInNewSpace, NotSquareFree, TooLarge
+from thinlab.errors import BadPrime, DepthExhausted, ModulusMismatch, NotInNewSpace, NotSquareFree, TooLarge
 
-from oracles import sl2_count_bruteforce
+from oracles import congruence_apply_branches, sl2_count_bruteforce
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 6, 7, 10, 15])
@@ -110,6 +110,33 @@ def test_apply_sentinel_matches_manual_sum(model, lab, groups):
             tau = float(model.tau(j, np.array([v]))[0])
             acc += np.exp(f + 0.4j * tau) * H.values[index[(j,) + w[:-1]], 0]
         assert abs(out.values[i, 0] - acc) <= 1e-12 * max(1.0, abs(acc))
+
+
+@pytest.mark.parametrize("q", [1, 5, 15])
+@pytest.mark.parametrize("xi", [0.0, 0.02 + 0.5j])
+def test_apply_matches_branch_oracle(lab, groups, q, xi):
+    # the block permutations and the sparse shift S give the branch sum
+    g = groups(q)
+    depth = 5
+    op = cg.CongruenceOperator(lab, g, xi.imag, depth, a=xi.real)
+    rng = np.random.default_rng(q)
+    x = rng.standard_normal(op.shape) + 1j * rng.standard_normal(op.shape)
+    once = congruence_apply_branches(lab, g, xi.imag, xi.real, depth, x)
+    thrice = once
+    for _ in range(2):
+        thrice = congruence_apply_branches(lab, g, xi.imag, xi.real, depth, thrice)
+    for got, want in [(op.apply(x), once), (op.apply_k(x, 3), thrice)]:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape", ["one_column", "extra_column", "missing_row"])
+def test_apply_rejects_wrong_fiber_shape(lab, groups, shape):
+    g5 = groups(5)
+    op = cg.CongruenceOperator(lab, g5, 0.3, 3)
+    n = len(op.words)
+    dims = {"one_column": (n, 1), "extra_column": (n, g5.order + 1), "missing_row": (n - 1, g5.order)}
+    with pytest.raises(ModulusMismatch):
+        op.apply(np.ones(dims[shape], dtype=complex))
 
 
 def test_fiber_constant_fixed_at_zero(model, lab, groups):
