@@ -8,14 +8,15 @@ index it carries after t steps is the ascending product of the t innermost
 step matrices.
 """
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import congruence, symbolic
 from .congruence import GroupModQ, cf_lip, cocycle_mod
-from .errors import DepthExhausted, EnumerationTooLarge, GroupTooSmall, NoConvergence, NotGenerating
-from .symbolic import MAX_LEAVES, SymbolicPoint, all_words, enumerate_words, omega_tail
+from .errors import DepthExhausted, EnumerationTooLarge, GroupTooSmall, ModulusMismatch, NoConvergence, NotGenerating
+from .symbolic import SymbolicPoint, all_words, enumerate_words, omega_tail
 from .thermo import RESIDUAL_TOL, Walk
 
 SVD_ORDER = 2000
@@ -186,13 +187,19 @@ def convolve(measure, phi):
     return measure.group.convolve_fn(measure.weights, phi)
 
 
-def build_measures(lab, group, x, r, s, tail, xi, cap=MAX_LEAVES):
+# ((lab, group, x, r, a), walk) of the last r-step head walk build_measures made
+_head_memo = None
+
+
+def build_measures(lab, group, x, r, s, tail, xi):
     """The four approximating measures mu, nu0, mu-hat, nu for one tail word.
 
     tail is the word (alpha_s, ..., alpha_{r+1}) in forward order; atoms sit at
     the (r+1)-step cocycle indices, weights are exact Birkhoff sums evaluated
-    through the collocation data.
+    through the collocation data.  The r-step head walk does not depend on the
+    tail: it is walked once per (x, r) and a shallow copy is branched per tail.
     """
+    global _head_memo
     xi = complex(xi)
     a, b = xi.real, xi.imag
     tail = tuple(tail)
@@ -200,25 +207,19 @@ def build_measures(lab, group, x, r, s, tail, xi, cap=MAX_LEAVES):
         raise ValueError("need 0 < r < s and a tail of s - r symbols")
     if not symbolic.admissible(lab.model.T, tail):
         raise ValueError(f"tail {tail} is not admissible")
-    walk = Walk.from_point(lab.model, lab.potential(a), x, group)
-    all_syms = range(lab.model.N)
-    f_r = None
-    cidx_atoms = None
-    for t in range(1, s + 1):
-        if t <= r:
-            walk.step(all_syms, cap=cap)
-            if t == r:
-                f_r = walk.f.copy()
-        else:
-            parents = walk.step([tail[s - t]], cap=cap)
-            if f_r is not None:
-                f_r = f_r[parents]
-            if t == r + 1:
-                cidx_atoms = walk.cidx.copy()
-    n = group.order
-    mu = np.zeros(n, dtype=complex)
-    mu_hat = np.zeros(n)
-    nu0 = np.zeros(n)
+    key = (lab, group, x, r, a)
+    entry = _head_memo  # read once, so a thread sees one whole entry
+    if entry is None or entry[0] != key:
+        head = Walk.from_point(lab.model, lab.potential(a), x, group)
+        for _ in range(r):
+            head.step(range(lab.model.N))
+        entry = _head_memo = (key, head)
+    walk = copy.copy(entry[1])
+    f_r = entry[1].f[walk.step([tail[-1]])]
+    cidx_atoms = walk.cidx
+    for j in reversed(tail[:-1]):
+        f_r = f_r[walk.step([j])]
+    mu, mu_hat, nu0 = np.zeros(group.order, dtype=complex), np.zeros(group.order), np.zeros(group.order)
     np.add.at(mu, cidx_atoms, np.exp(walk.f + 1j * b * walk.tau))
     np.add.at(mu_hat, cidx_atoms, np.exp(walk.f))
     np.add.at(nu0, cidx_atoms, np.exp(f_r))
@@ -237,15 +238,17 @@ def build_measures(lab, group, x, r, s, tail, xi, cap=MAX_LEAVES):
 
 # ---- exact s-step application at a point, and the convolution approximation ----
 
-def transfer_apply_at(lab, group, H, xi, s, x, cap=MAX_LEAVES):
+def transfer_apply_at(lab, group, H, xi, s, x):
     """M^s(H)(x) as the exact word sum, H read as a depth-D locally constant
     function; the fiber action of the cocycle is applied leaf by leaf."""
+    if H.values.shape[1] != group.order:
+        raise ModulusMismatch(f"fiber values of shape {H.values.shape}, group of order {group.order}")
     xi = complex(xi)
     model = lab.model
     depth = H.depth
     walk = Walk.from_point(model, lab.potential(xi.real), x, group, track_words=True)
     for _ in range(s):
-        walk.step(range(model.N), cap=cap)
+        walk.step(range(model.N))
     # cylinder of each leaf: word symbols (reversed prepend order) then x's
     words = walk.words[:, ::-1]
     if s < depth:
@@ -263,40 +266,38 @@ def transfer_apply_at(lab, group, H, xi, s, x, cap=MAX_LEAVES):
     return out
 
 
-def approx_transfer_check(lab, group, H, xi, r, s, anchors=None, cap=MAX_LEAVES):
+def approx_transfer_check(lab, group, H, xi, r, s):
     """Residual of the measure-convolution approximation of M^s against the
-    exact word sum, compared to the bound C_f Lip(H) theta^{s-r}."""
+    exact word sum at the anchors (w; omega) over all admissible 2-words w,
+    compared to the bound C_f Lip(H) theta^{s-r}."""
+    if H.values.shape[1] != group.order:
+        raise ModulusMismatch(f"fiber values of shape {H.values.shape}, group of order {group.order}")
     if s - r > 8:
         raise ValueError("s - r capped at 8")
     if H.depth < s:
         raise DepthExhausted(f"need cylinder depth >= s = {s}, have {H.depth}")
     model = lab.model
     consts = lab.constants()
-    if anchors is None:
-        anchors = [
-            SymbolicPoint(w, omega_tail(model.T, w[-1]).period) for w in all_words(model.T, 2)
-        ]
-    theta = consts.theta
-    lip = cf_lip(H, theta)
-    bound = consts.C_f * lip * theta ** (s - r)
+    anchors = [SymbolicPoint(w, omega_tail(model.T, w[-1]).period) for w in all_words(model.T, 2)]
+    lip = cf_lip(H, consts.theta)
+    bound = consts.C_f * lip * consts.theta ** (s - r)
     tails = all_words(model.T, s - r)
     # a tail's cylinder (tail + omega tail) and fiber permutation do not depend on x
-    ext = []
-    perms = []
+    ext, perms = [], []
+    inv = group.inv_perm()
     for tail in tails:
         period = omega_tail(model.T, tail[-1]).period
         ext.append((tail + period * ((H.depth - len(tail)) // len(period) + 1))[: H.depth])
-        perms.append(group.right_mul_perm(int(group.inv_perm()[cocycle_mod(model, tail[:-1], group)])))
+        perms.append(group.right_mul_perm(int(inv[cocycle_mod(model, tail[:-1], group)])))
     cyls = symbolic.word_rank(H.words, ext, model.N)
-    residuals = []
-    for x in anchors:
-        exact = transfer_apply_at(lab, group, H, xi, s, x, cap=cap)
+    residuals = np.zeros(len(anchors))
+    for i, x in enumerate(anchors):
+        exact = transfer_apply_at(lab, group, H, xi, s, x)
         approx = np.zeros(group.order, dtype=complex)
         for tail, cyl, perm in zip(tails, cyls, perms):
-            meas = build_measures(lab, group, x, r, s, tail, xi, cap=cap)
+            meas = build_measures(lab, group, x, r, s, tail, xi)
             approx += convolve(meas["mu"], H.values[cyl][perm])
-        residuals.append(float(np.linalg.norm(exact - approx)))
-    residuals = np.array(residuals)
+        residuals[i] = np.linalg.norm(exact - approx)
     sup = float(residuals.max())
     ratio = sup / bound if bound > 0 else np.inf if sup > 0 else 0.0
     return {"residuals": residuals, "sup": sup, "bound": bound, "ratio": ratio, "lip": lip}
@@ -374,7 +375,7 @@ class FlatteningReport:
 
 
 def flattening_pipeline(lab, group, x, r_prime, l, p, s_extra=2, tail=None, xi=0.3j,
-                        gaps=None, decomp=None, seed=0, cap=MAX_LEAVES, svd_cap=SVD_ORDER):
+                        gaps=None, decomp=None, seed=0, svd_cap=SVD_ORDER):
     """Run the measure-flattening verification chain at one modulus.
 
     Checks, in order: the mu/mu-hat/nu comparison, the nu0 vs nu1 two-sided
@@ -406,7 +407,7 @@ def flattening_pipeline(lab, group, x, r_prime, l, p, s_extra=2, tail=None, xi=0
             gap_cache[(y, z)] = cayley_gap(S, group, seed=seed)
         return gap_cache[(y, z)][2]
 
-    meas = build_measures(lab, group, x, r, s, tail, xi, cap=cap)
+    meas = build_measures(lab, group, x, r, s, tail, xi)
     mu, nu0, mu_hat, nu = meas["mu"], meas["nu0"], meas["mu_hat"], meas["nu"]
     entries = {}
     values = {"n_words": meas["n_words"], "nu0_l1": nu0.l1(), "nu_l1": nu.l1(), "mu_l2": mu.l2()}

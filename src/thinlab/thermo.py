@@ -367,12 +367,13 @@ class Walk:
     given, the index of the ascending cocycle product.  New leaves are ordered
     by prepended symbol, then by parent, so the leaves always run in
     lexicographic order of the prepended word, then in starting order.
+    `step` rebinds the leaf arrays and never writes into them, so a shallow
+    copy of a walk can be stepped while the original stays valid.
     """
 
     def __init__(self, model, pot, sym, v, group=None, track_words=False):
         self.model = model
         self.pot = pot
-        self.group = group
         self.sym = np.asarray(sym)
         self.v = np.asarray(v, dtype=float)
         self.logh = np.empty(self.v.size)
@@ -382,15 +383,13 @@ class Walk:
         self.f = np.zeros(self.v.size)
         self.tau = np.zeros(self.v.size)
         self.cidx = None if group is None else np.full(self.v.size, group.identity)
+        self.perms = None if group is None else [group.left_mul_perm(group.reduce(g)) for g in model.gens]
         self.words = np.zeros((self.v.size, 0), dtype=np.int8) if track_words else None
 
     @classmethod
     def from_point(cls, model, pot, x, group=None, track_words=False):
         """A walk whose only starting leaf is the symbolic point x."""
         return cls(model, pot, [x.first], [symbolic.eval_point(model, x)], group, track_words)
-
-    def _perm(self, j):
-        return self.group.left_mul_perm(self.group.reduce(self.model.gens[j]))
 
     def size(self):
         return self.sym.size
@@ -413,7 +412,7 @@ class Walk:
             raise InadmissibleWord("no admissible continuation for the requested symbols")
         parents = np.concatenate([p[1] for p in parts])
         if self.cidx is not None:
-            self.cidx = np.concatenate([self._perm(j)[self.cidx[mask]] for j, mask, *_ in parts])
+            self.cidx = np.concatenate([self.perms[j][self.cidx[mask]] for j, mask, *_ in parts])
         self.sym = np.concatenate([np.full(p[1].size, p[0]) for p in parts])
         if self.words is not None:
             self.words = np.concatenate([self.words[parents], self.sym[:, None].astype(np.int8)], axis=1)

@@ -229,3 +229,36 @@ def congruence_apply_branches(lab, group, b, a, depth, values):
             perm = group.right_mul_perm(int(group.inv_perm()[group.reduce(model.gens[j])]))
         out[mask] += weight[:, None] * values[src][:, perm]
     return out
+
+
+def build_measures_fresh(lab, group, x, r, s, tail, xi):
+    """The approximating measures with a fresh s-step walk for this one tail:
+    r all-symbol head steps, then the tail symbols one by one.  A regression
+    oracle for build_measures, which branches one cached head walk per tail."""
+    from thinlab import symbolic
+    from thinlab.thermo import Walk
+
+    xi = complex(xi)
+    a, b = xi.real, xi.imag
+    tail = tuple(tail)
+    walk = Walk.from_point(lab.model, lab.potential(a), x, group)
+    f_r = None
+    cidx_atoms = None
+    for t in range(1, s + 1):
+        if t <= r:
+            walk.step(range(lab.model.N))
+            if t == r:
+                f_r = walk.f.copy()
+        else:
+            f_r = f_r[walk.step([tail[s - t]])]
+            if t == r + 1:
+                cidx_atoms = walk.cidx.copy()
+    mu = np.zeros(group.order, dtype=complex)
+    mu_hat = np.zeros(group.order)
+    nu0 = np.zeros(group.order)
+    np.add.at(mu, cidx_atoms, np.exp(walk.f + 1j * b * walk.tau))
+    np.add.at(mu_hat, cidx_atoms, np.exp(walk.f))
+    np.add.at(nu0, cidx_atoms, np.exp(f_r))
+    _, _, f_tail = symbolic.birkhoff(lab.potential(a), tail, symbolic.omega_tail(lab.model.T, tail[-1]))
+    nu = float(np.exp(f_tail)) * nu0
+    return {"mu": mu, "nu0": nu0, "mu_hat": mu_hat, "nu": nu, "n_words": walk.size()}

@@ -21,9 +21,9 @@ from thinlab import (
 )
 from thinlab import expander as ex
 from thinlab import symbolic as sym
-from thinlab.errors import EnumerationTooLarge, NoConvergence, NotGenerating
+from thinlab.errors import EnumerationTooLarge, ModulusMismatch, NoConvergence, NotGenerating
 
-from oracles import cayley_lambda2_power, min_nontrivial_irrep_dim
+from oracles import build_measures_fresh, cayley_lambda2_power, min_nontrivial_irrep_dim
 
 
 def test_return_set_contains_identity(model):
@@ -135,6 +135,37 @@ def test_measure_lemmas(model, lab, groups, consts):
             ratios = mu_hat.weights[mask] / nu.weights[mask]
             assert ratios.max() <= C and ratios.min() >= 1.0 / C
             assert nu0.l1() <= consts.C_f
+
+
+def test_build_measures_matches_fresh_walk(model, lab, groups):
+    # calls come in pairs of tails on one (group, xi, anchor): the first walks
+    # a new head, the second branches the cached one.  From pair to pair the
+    # settings run through a Gray code, so each of the group, xi and anchor
+    # changes on its own somewhere: a stale head or an aliased branch would show
+    anchors = [sym.point((0,), (1,)), sym.SymbolicPoint((1, 0), sym.omega_tail(model.T, 0).period)]
+    gray = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1), (1, 0, 0)]
+    settings = [((5, 7)[i], (0.3j, 0.02 + 0.4j)[j], anchors[k]) for i, j, k in gray]
+    s = 6
+    for r in (2, 3, 4):
+        tails = sym.all_words(model.T, s - r)
+        for pair in zip(tails[::2], tails[1::2]):
+            for q, xi, x in settings:
+                for tail in pair:
+                    got = build_measures(lab, groups(q), x, r, s, tail, xi)
+                    want = build_measures_fresh(lab, groups(q), x, r, s, tail, xi)
+                    for name in ("mu", "nu0", "mu_hat", "nu"):
+                        assert np.array_equal(got[name].weights, want[name]), (q, xi, x, r, tail, name)
+                    assert got["n_words"] == want["n_words"]
+
+
+@pytest.mark.parametrize("q_H, q_group", [(5, 7), (7, 5)])
+def test_transfer_checks_reject_other_modulus(model, lab, groups, q_H, q_group):
+    H = CongruenceFunction.random(model, groups(q_H), 6, np.random.default_rng(17))
+    x = sym.point((0,), (1,))
+    with pytest.raises(ModulusMismatch):
+        ex.transfer_apply_at(lab, groups(q_group), H, 0.3j, 6, x)
+    with pytest.raises(ModulusMismatch):
+        approx_transfer_check(lab, groups(q_group), H, 0.3j, 4, 6)
 
 
 def test_convolution_identities(model, lab, groups):
