@@ -9,7 +9,6 @@ from .schottky import (
     MobiusMap,
     SchottkyData,
     build_markov_model,
-    mobius_apply,
     validate_schottky,
 )
 from .symbolic import (
@@ -32,10 +31,8 @@ from .congruence import (
     CongruenceFunction,
     GroupModQ,
     NewSpaceDecomposition,
-    build_decomposition,
     cocycle_mod,
     congruence_apply,
-    group_mod_q,
     project_and_scale,
 )
 from .expander import (
@@ -46,7 +43,6 @@ from .expander import (
     build_measures,
     build_return_set,
     cayley_gap,
-    convolve,
     detect_expansion,
     flattening_pipeline,
     generates_full,

@@ -38,7 +38,6 @@ def fmt(x):
 
 @dataclass
 class RunConfig:
-    group_path: str
     theta: float = None
     degree: int = 16
     depth: int = 8
@@ -66,6 +65,11 @@ class RunConfig:
                 raise ConfigParse(f"NotSquareFree: q = {q}")
 
 
+def _is_int_matrix(m):
+    return isinstance(m, list) and len(m) == 2 and all(
+        isinstance(row, list) and len(row) == 2 and all(type(e) is int for e in row) for row in m)
+
+
 def load_config(path, args):
     try:
         with open(path) as fh:
@@ -77,10 +81,15 @@ def load_config(path, args):
     unknown = sorted(set(doc) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigParse(f"unknown config keys {unknown}; known keys are {list(CONFIG_KEYS)}")
-    cfg = RunConfig(group_path=path)
+    gens = doc.get("generators")
+    if not (isinstance(gens, list) and all(_is_int_matrix(g) for g in gens)):
+        raise ConfigParse(f"generators must be a list of integer matrices [[a, b], [c, d]], got {gens!r}")
+    cfg = RunConfig()
     for key in ("theta", "degree", "depth", "p", "l", "seed", "out_dir"):
         if key in doc:
             setattr(cfg, key, doc[key])
+    if not (isinstance(cfg.out_dir, str) and cfg.out_dir):
+        raise ConfigParse(f"out_dir must be a non-empty path string, got {cfg.out_dir!r}")
     if "q" in doc:
         qs = doc["q"]
         if not isinstance(qs, list) or any(isinstance(q, bool) or not isinstance(q, int) for q in qs):
@@ -217,7 +226,7 @@ def cmd_flatten(cfg, doc, q, r, l, b):
     print(body)
     write_artifact(cfg.out_dir, "flatten", "json", body)
     if len(congruence.factorize(q)) <= 3:
-        dec = congruence.build_decomposition(group)
+        dec = congruence.NewSpaceDecomposition(group)
         write_artifact(cfg.out_dir, "decomposition", "csv",
                        congruence.decomposition_table_csv(dec, seed=cfg.seed))
     return EXIT_OK
@@ -310,9 +319,8 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="thinlab", description="congruence transfer-operator laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True, help="group JSON file")
+    def common(p):
+        p.add_argument("--config", required=True, help="group JSON file")
         p.add_argument("--out", default=None, help="artifact directory")
         p.add_argument("--degree", type=int, default=None)
         p.add_argument("--depth", type=int, default=None)
@@ -348,7 +356,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
-            cfg = RunConfig(group_path="", out_dir=args.out)
+            cfg = RunConfig(out_dir=args.out)
             return cmd_report(cfg)
         cfg, doc = load_config(args.config, args)
         cfg.validate()
@@ -361,8 +369,9 @@ def main(argv=None):
         if args.command == "cayley":
             return cmd_cayley(cfg, doc, cfg.p)
         if args.command == "flatten":
-            qs = cfg.q_list or [15]
-            return cmd_flatten(cfg, doc, qs[0], args.r, cfg.l, args.b)
+            if len(cfg.q_list) > 1:
+                raise ConfigParse(f"flatten runs one modulus, got q = {cfg.q_list}")
+            return cmd_flatten(cfg, doc, (cfg.q_list or [15])[0], args.r, cfg.l, args.b)
         if args.command == "decay":
             return cmd_decay(cfg, doc, args.a, args.b)
         if args.command == "twist":

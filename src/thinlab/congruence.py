@@ -22,6 +22,7 @@ from .errors import (
     NotSquareFree,
     TooLarge,
 )
+from .thermo import Walk
 
 MAX_ORDER = 10**6
 MAX_DECOMP_ORDER = 10**5
@@ -175,16 +176,6 @@ class GroupModQ:
             out += weights[h] * phi[..., perm]
         return out
 
-    def convolve_measures(self, mu, nu):
-        """(mu * nu)(g) = sum_h mu(h) nu(g h^{-1}); atoms compose as k, h -> k h."""
-        out = np.zeros(self.order, dtype=complex)
-        sup_mu = np.flatnonzero(mu)
-        sup_nu = np.flatnonzero(nu)
-        for h in sup_mu:
-            idx = self.right_mul_perm(int(h))[sup_nu]
-            np.add.at(out, idx, mu[h] * nu[sup_nu])
-        return out
-
     def convolution_matrix(self, weights):
         """Dense matrix of phi -> weights * phi."""
         M = np.zeros((self.order, self.order), dtype=complex)
@@ -198,11 +189,6 @@ class GroupModQ:
 def _encode_mats(flat, q):
     f = np.asarray(flat, dtype=np.int64)
     return ((f[..., 0] * q + f[..., 1]) * q + f[..., 2]) * q + f[..., 3]
-
-
-def group_mod_q(q, bad_primes=()):
-    """Full element table of SL2(Z/q) with multiplication oracle."""
-    return GroupModQ.build(q, bad_primes=bad_primes)
 
 
 def cocycle_mod(model, word, group):
@@ -252,22 +238,6 @@ class CongruenceFunction:
             vals += theta**m * g[symbolic.word_rank(prefixes, words[:, : m + 1], model.N)]
         return cls(depth, words, group, vals)
 
-    @classmethod
-    def random_lipschitz(cls, lab, group, depth, rng, poly_degree=4, decay=0.5):
-        """Random fiber-valued function that is genuinely Lipschitz in d_theta:
-        per group element, a random Chebyshev polynomial of the cylinder anchor."""
-        model = lab.model
-        words, anchors = lab.anchors(depth)
-        mid = model.intervals.mean(axis=1)
-        half = np.diff(model.intervals, axis=1)[:, 0] / 2.0
-        first = words[:, 0]
-        t = (anchors - mid[first]) / half[first]
-        basis = np.stack([np.cos(k * np.arccos(np.clip(t, -1, 1))) for k in range(poly_degree + 1)], axis=1)
-        scale = decay ** np.arange(poly_degree + 1)
-        coef = (rng.standard_normal((poly_degree + 1, group.order))
-                + 1j * rng.standard_normal((poly_degree + 1, group.order))) * scale[:, None]
-        return cls(depth, words, group, basis @ coef)
-
 
 def cf_l2_norm(H, masses):
     return float(np.sqrt(np.sum(masses * np.sum(np.abs(H.values) ** 2, axis=1))))
@@ -310,43 +280,34 @@ def cf_lip_norm(H, theta):
 class CongruenceOperator:
     """One step of the congruence transfer operator on depth-D cylinder functions.
 
-    Weights are exp(f^(a) + i b tau) evaluated at the exact preimage of each
-    cylinder anchor, so the operator is the depth-D locally constant surrogate
-    of the normalized operator (error O(theta^D) against the continuum one).
-    A step permutes the fiber columns of each first-symbol block (the rows
-    branch j reads), then applies the sparse cylinder shift S, which at q = 1
-    is the base operator.  The permuted fibers go to one buffer per operator,
-    so two threads must not apply the same operator at once.
+    The sparse cylinder shift S is one step of the prepend walk from the
+    cylinder anchors: the leaf that prepends j to the anchor of cylinder w sits
+    in row w, column (j, w[:-1]), with weight exp(f^(a) + i b tau) at its exact
+    preimage, so the operator is the depth-D locally constant surrogate of the
+    normalized operator (error O(theta^D) against the continuum one).  A step
+    permutes the fiber columns of each first-symbol block (the rows branch j
+    reads), then applies S, which at q = 1 is the base operator.  The permuted
+    fibers go to one buffer per operator, so two threads must not apply the
+    same operator at once.
     """
 
     def __init__(self, lab, group, b, depth, a=0.0):
         from scipy import sparse
         model = lab.model
-        pot = lab.potential(a)
         words, anchors = lab.anchors(depth)
         self.words = words
         self.shape = (len(words), group.order)
         self._permuted = np.empty(self.shape, dtype=complex)
-        first = words[:, 0]
-        bounds = np.searchsorted(first, np.arange(model.N + 1))
-        logh_anchor = np.concatenate([pot.logh0_at(s, anchors[lo:hi])
-                                      for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))])
-        self.blocks = []
-        rows, cols, data = [], [], []
-        for j in range(model.N):
-            mask = np.flatnonzero(model.T[j, first])
-            shifted = np.column_stack([np.full(mask.size, j, dtype=np.int8), words[mask, :-1]])
-            v = model.inv_branch(j, anchors[mask])
-            tau = model.tau(j, v)
-            f = pot.f_from_parts(tau, pot.logh0_at(j, v), logh_anchor[mask])
-            rows.append(mask)
-            cols.append(symbolic.word_rank(words, shifted, model.N))
-            data.append(np.exp(f + 1j * float(b) * tau))
-            gidx = group.reduce(model.gens[j])
-            self.blocks.append((bounds[j], bounds[j + 1], group.right_mul_perm(int(group.inv_perm()[gidx]))))
+        walk = Walk(model, lab.potential(a), words[:, 0], anchors)
+        rows = walk.step(range(model.N))
+        cols = symbolic.word_rank(words, np.column_stack([walk.sym.astype(np.int8), words[rows, :-1]]), model.N)
         # no (row, column) pair repeats; a row's columns ascend with the branch j
-        self.S = sparse.csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        self.S = sparse.csr_matrix((np.exp(walk.f + 1j * float(b) * walk.tau), (rows, cols)),
                                    shape=(len(words), len(words)))
+        bounds = np.searchsorted(words[:, 0], np.arange(model.N + 1))
+        inv = group.inv_perm()
+        self.blocks = [(bounds[j], bounds[j + 1], group.right_mul_perm(int(inv[group.reduce(g)])))
+                       for j, g in enumerate(model.gens)]
 
     def apply(self, values):
         values = np.asarray(values, dtype=complex)
@@ -459,8 +420,19 @@ class NewSpaceDecomposition:
         return np.asarray(psi)[..., self.labels[d]]
 
 
-def build_decomposition(group):
-    return NewSpaceDecomposition(group)
+def mean_zero_projector(group):
+    def proj(phi):
+        return phi - phi.mean(axis=-1, keepdims=True)
+    return proj
+
+
+def new_space_projector(group, decomp=None):
+    """Projector onto the level-q new space E^q_q (mean-zero for q = 1 and prime q)."""
+    if len(factorize(group.q)) <= 1:
+        return mean_zero_projector(group)
+    if decomp is None:
+        decomp = NewSpaceDecomposition(group)
+    return lambda phi: decomp.project_new(group.q, phi)
 
 
 def decomposition_table_csv(decomp, seed=0, trials=5):

@@ -7,8 +7,9 @@ from math import ceil, log
 
 import numpy as np
 
-from . import congruence, symbolic
-from .congruence import CongruenceFunction, CongruenceOperator, cf_l2_norm, cf_lip, cf_sup_norm
+from . import symbolic
+from .congruence import (CongruenceFunction, CongruenceOperator, GroupModQ, cf_l2_norm, cf_lip,
+                         cf_lip_norm, cf_sup_norm, new_space_projector)
 from .errors import BudgetExceeded, NotGenerating
 from .thermo import CollocationGrid, NormalizedPotential, assemble_transfer, dense_leading
 
@@ -82,15 +83,9 @@ def random_new_vector(lab, group, depth, rng, decomp=None):
     H = CongruenceFunction.random(lab.model, group, depth, rng)
     if group.q == 1:
         _, masses = lab.cylinder_masses(depth)
-        mean = np.sum(masses[:, None] * H.values, axis=0)
-        H.values -= mean
-        return H
-    if len(congruence.factorize(group.q)) == 1:
-        H.values -= H.values.mean(axis=1, keepdims=True)
-        return H
-    if decomp is None:
-        decomp = congruence.NewSpaceDecomposition(group)
-    H.values = decomp.project_new(group.q, H.values)
+        H.values -= np.sum(masses[:, None] * H.values, axis=0)
+    else:
+        H.values = new_space_projector(group, decomp)(H.values)
     return H
 
 
@@ -125,7 +120,7 @@ def decay_small_b(lab, group, schedule, xi, seed, depth=6, step_budget=60, decom
     rng = np.random.default_rng(seed)
     H = random_new_vector(lab, group, depth, rng, decomp=decomp)
     theta = lab.constants().theta
-    lip_norm = cf_sup_norm(H) + cf_lip(H, theta)
+    lip_norm = cf_lip_norm(H, theta)
     H.values /= lip_norm
     _, masses = lab.cylinder_masses(depth)
     flat = np.full(len(H.words), 1.0 / len(H.words))
@@ -159,7 +154,7 @@ def supnorm_lipschitz_check(lab, group, schedule, xi, seed, depth=6, decomp=None
         rng = np.random.default_rng(seed)
         H = random_new_vector(lab, group, depth, rng, decomp=decomp)
     theta = lab.constants().theta
-    denom = cf_sup_norm(H) + cf_lip(H, theta)
+    denom = cf_lip_norm(H, theta)
     shape = 0.5 * schedule.norm_q() ** (-schedule.kappa_hat)
     if denom == 0.0:
         return {"ratio_inf": 0.0, "ratio_lip": 0.0, "shape_bound": shape, "s_q": schedule.s_q}
@@ -171,22 +166,12 @@ def supnorm_lipschitz_check(lab, group, schedule, xi, seed, depth=6, decomp=None
             "s_q": schedule.s_q}
 
 
-def sentinel_decay_rate(lab, depth=6, seed=5, steps=16, window=(6, 15)):
-    """Per-step decay rate of the q = 1 sentinel on a smooth nu_U mean-zero
-    input; converges to the base-operator RPF gap once rough transients die."""
-    from .congruence import GroupModQ
-    group = GroupModQ.build(1)
-    H = CongruenceFunction.random_lipschitz(lab, group, depth, np.random.default_rng(seed))
-    _, masses = lab.cylinder_masses(depth)
-    op = CongruenceOperator(lab, group, 0.0, depth, a=0.0)
-    vals = H.values - np.sum(masses[:, None] * H.values, axis=0)
-    norms = []
-    for _ in range(steps):
-        norms.append(float(np.sqrt(np.sum(masses * np.abs(vals[:, 0]) ** 2))))
-        vals = op.apply(vals)
-    lo, hi = window
-    fit = np.polyfit(np.arange(lo, hi), np.log(norms[lo:hi]), 1)
-    return float(np.exp(fit[0]))
+def sentinel_decay_rate(lab, depth=6):
+    """Second eigenvalue modulus of the q = 1 sentinel operator at xi = 0 on
+    depth-D cylinders, from one dense solve of its cylinder shift S; the
+    surrogate of the base operator's RPF gap."""
+    op = CongruenceOperator(lab, GroupModQ.build(1), 0.0, depth)
+    return dense_leading(op.S.toarray().real)[2]
 
 
 # ---- operator norm chain ----

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import congruence, symbolic
-from .congruence import GroupModQ, cf_lip, cocycle_mod
+from .congruence import GroupModQ, cf_lip, cocycle_mod, mean_zero_projector, new_space_projector
 from .errors import DepthExhausted, EnumerationTooLarge, GroupTooSmall, ModulusMismatch, NoConvergence, NotGenerating
 from .symbolic import SymbolicPoint, all_words, enumerate_words, omega_tail
 from .thermo import RESIDUAL_TOL, Walk
@@ -52,7 +52,9 @@ def build_return_set(model, y, z, p, cap=200_000):
 
 
 def reduced_generator_indices(S, group):
-    return sorted({group.reduce(m) for m in S.elements})
+    """Sorted distinct indices of the return-set elements reduced mod q."""
+    flat = np.array([[e % group.q for e in m.tuple()] for m in S.elements], dtype=np.int64)
+    return np.unique(group.index_of(flat)).tolist()
 
 
 def generates_full(S, group):
@@ -182,11 +184,6 @@ class MeasureOnFq:
         return float(np.linalg.norm(self.weights))
 
 
-def convolve(measure, phi):
-    """Finite convolution (mu * phi)(g) = sum_h mu(h) phi(g h^{-1})."""
-    return measure.group.convolve_fn(measure.weights, phi)
-
-
 # ((lab, group, x, r, a), walk) of the last r-step head walk build_measures made
 _head_memo = None
 
@@ -296,7 +293,7 @@ def approx_transfer_check(lab, group, H, xi, r, s):
         approx = np.zeros(group.order, dtype=complex)
         for tail, cyl, perm in zip(tails, cyls, perms):
             meas = build_measures(lab, group, x, r, s, tail, xi)
-            approx += convolve(meas["mu"], H.values[cyl][perm])
+            approx += group.convolve_fn(meas["mu"].weights, H.values[cyl][perm])
         residuals[i] = np.linalg.norm(exact - approx)
     sup = float(residuals.max())
     ratio = sup / bound if bound > 0 else np.inf if sup > 0 else 0.0
@@ -324,26 +321,6 @@ def conv_opnorm(group, weights, projector, svd_cap=SVD_ORDER, seed=0):
 
     lam = float(_lanczos_top(gram, n, 1, complex, seed)[0])
     return float(np.sqrt(max(lam, 0.0)))
-
-
-def mean_zero_projector(group):
-    def proj(phi):
-        return phi - phi.mean(axis=-1, keepdims=True)
-    return proj
-
-
-def new_space_projector(group, decomp=None):
-    """Projector onto the level-q new space E^q_q (mean-zero for prime q)."""
-    if group.q == 1:
-        return mean_zero_projector(group)
-    fac = congruence.factorize(group.q)
-    if len(fac) == 1:
-        return mean_zero_projector(group)
-    if decomp is None:
-        decomp = congruence.NewSpaceDecomposition(group)
-    def proj(phi):
-        return decomp.project_new(group.q, phi)
-    return proj
 
 
 # ---- flattening pipeline ----
@@ -534,7 +511,7 @@ def _build_nu1(lab, group, x, r_prime, l, p, tail, a):
             if key not in seen_blocks:
                 seen_blocks.add(key)
                 block_measures.append((key, eta))
-            conv = group.convolve_measures(conv, eta.astype(complex))
+            conv = group.convolve_fn(conv, eta.astype(complex))
         if ok:
             nu1 += conv.real
     return nu1, flat_ratio, block_measures, len(chains)

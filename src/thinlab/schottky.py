@@ -78,11 +78,6 @@ class MobiusMap:
 IDENTITY = MobiusMap(1, 0, 0, 1)
 
 
-def mobius_apply(m, x):
-    """(image, derivative modulus) of a MobiusMap at a real point."""
-    return m.apply(x)
-
-
 @dataclass(frozen=True)
 class IsometricDisk:
     center: float

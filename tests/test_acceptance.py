@@ -16,7 +16,6 @@ from thinlab import (
     CongruenceFunction,
     ThermoLab,
     approx_transfer_check,
-    build_decomposition,
     build_return_set,
     cayley_gap,
     congruence_apply,
@@ -114,7 +113,7 @@ def test_criterion_2_critical_exponent(model, lab):
 def _criterion3_body(acc):
     model, lab = acc["model"], acc["lab"]
     g15 = acc["groups"](15)
-    dec = build_decomposition(g15)
+    dec = cg.NewSpaceDecomposition(g15)
     xi = 0.02 + 0.4j
     depth = 4
     rng = np.random.default_rng(SEED)

@@ -10,6 +10,7 @@ import thinlab
 from thinlab.cli import main
 
 EXAMPLE = {"generators": [[[2, 3], [1, 2]], [[6, 35], [1, 6]]]}
+DROP = object()  # a config value that removes its key
 
 
 @pytest.fixture()
@@ -76,10 +77,15 @@ def test_config_non_integer_degree_exits_2(tmp_path, capsys):
     ({"dpeth": 3}, "'dpeth'"),              # a misspelled key must not fall back to the default
     ({"q": 5}, "list of integers"),         # a scalar must not end in a TypeError traceback
     ({"q": [5, 7.5]}, "list of integers"),  # 7.5 must not be truncated to q = 7
-], ids=["unknown_key", "q_scalar", "q_float"])
+    ({"generators": DROP}, "generators"),   # no KeyError traceback
+    ({"generators": [1, 2]}, "generators"),  # no TypeError traceback
+    ({"out_dir": 5}, "out_dir"),            # refused before the computation, not by os.makedirs
+    ({"out_dir": None}, "out_dir"),
+], ids=["unknown_key", "q_scalar", "q_float", "no_generators", "generators_not_matrices",
+        "out_dir_int", "out_dir_null"])
 def test_config_bad_keys_exit_2(tmp_path, capsys, extra, message):
     path = tmp_path / "G.json"
-    path.write_text(json.dumps(dict(EXAMPLE, **extra)))
+    path.write_text(json.dumps({k: v for k, v in dict(EXAMPLE, **extra).items() if v is not DROP}))
     assert main(["delta", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ConfigParse:") and message in err
@@ -97,6 +103,15 @@ def test_config_bad_theta_exit_2(tmp_path, capsys, theta):
 def test_degree_zero_exits_2(config, tmp_path, capsys):
     assert main(["delta", "--config", config, "--degree", "0", "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("ConfigParse:")
+
+
+def test_flatten_rejects_several_moduli(config, tmp_path, capsys):
+    # flatten runs one modulus; a list must not silently run only its first entry
+    assert main(["flatten", "--config", config, "--q", "5,7", "--r", "8", "--p", "3",
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigParse:") and "[5, 7]" in err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_r_prime_flag_rejected(config, tmp_path, capsys):

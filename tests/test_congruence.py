@@ -4,10 +4,9 @@ import pytest
 from thinlab import (
     CongruenceFunction,
     GroupModQ,
-    build_decomposition,
+    NewSpaceDecomposition,
     cocycle_mod,
     congruence_apply,
-    group_mod_q,
     project_and_scale,
 )
 from thinlab import congruence as cg
@@ -41,17 +40,17 @@ def test_group_closed_under_multiplication_and_inverse(groups):
 
 def test_not_square_free():
     with pytest.raises(NotSquareFree):
-        group_mod_q(4)
+        GroupModQ.build(4)
 
 
 def test_too_large():
     with pytest.raises(TooLarge):
-        group_mod_q(101)  # order 1_030_200 > 1e6
+        GroupModQ.build(101)  # order 1_030_200 > 1e6
 
 
 def test_bad_prime():
     with pytest.raises(BadPrime):
-        group_mod_q(10, bad_primes=(2,))
+        GroupModQ.build(10, bad_primes=(2,))
 
 
 def test_cocycle_mod_empty_and_sentinel(model, groups):
@@ -175,7 +174,7 @@ def test_fiber_action_unitary(model, groups):
 
 def test_prime_decomposition_is_mean_zero(groups):
     g = groups(7)
-    dec = build_decomposition(g)
+    dec = NewSpaceDecomposition(g)
     assert dec.divisors == [1, 7]
     rng = np.random.default_rng(4)
     phi = rng.standard_normal(g.order)
@@ -185,7 +184,7 @@ def test_prime_decomposition_is_mean_zero(groups):
 
 def test_decomposition_dimensions_q15(groups):
     g = groups(15)
-    dec = build_decomposition(g)
+    dec = NewSpaceDecomposition(g)
     dims = {d: dec.dim_new(d) for d in dec.divisors if d > 1}
     assert sum(dims.values()) + 1 == g.order
     # rank oracle: trace of each projector built on a full basis
@@ -201,7 +200,7 @@ def test_decomposition_dimensions_q15(groups):
 
 def test_projectors_idempotent_selfadjoint_orthogonal(groups):
     g = groups(15)
-    dec = build_decomposition(g)
+    dec = NewSpaceDecomposition(g)
     rng = np.random.default_rng(6)
     for _ in range(50):
         phi = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
@@ -221,7 +220,7 @@ def test_projectors_idempotent_selfadjoint_orthogonal(groups):
 
 def test_project_and_scale_identity(model, lab, groups):
     g = groups(5)
-    dec = build_decomposition(g)
+    dec = NewSpaceDecomposition(g)
     rng = np.random.default_rng(7)
     H = CongruenceFunction.random(model, g, 3, rng)
     H.values = dec.project_new(5, H.values)
@@ -232,7 +231,7 @@ def test_project_and_scale_identity(model, lab, groups):
 
 def test_project_and_scale_spade(model, lab, groups, consts):
     g = groups(15)
-    dec = build_decomposition(g)
+    dec = NewSpaceDecomposition(g)
     rng = np.random.default_rng(8)
     H = CongruenceFunction.random(model, g, 3, rng)
     H.values = dec.project_new(5, H.values)
@@ -244,7 +243,7 @@ def test_project_and_scale_spade(model, lab, groups, consts):
 
 def test_project_and_scale_rejects_outsiders(model, lab, groups):
     g = groups(15)
-    dec = build_decomposition(g)
+    dec = NewSpaceDecomposition(g)
     rng = np.random.default_rng(9)
     H = CongruenceFunction.random(model, g, 3, rng)
     with pytest.raises(NotInNewSpace):
@@ -253,7 +252,7 @@ def test_project_and_scale_rejects_outsiders(model, lab, groups):
 
 def test_commutation_and_equivariance(model, lab, groups):
     g = groups(15)
-    dec = build_decomposition(g)
+    dec = NewSpaceDecomposition(g)
     xi = 0.02 + 0.4j
     rng = np.random.default_rng(10)
     for _ in range(3):
@@ -276,7 +275,7 @@ def test_commutation_and_equivariance(model, lab, groups):
 
 def test_decomposition_table_csv(groups):
     from thinlab.congruence import decomposition_table_csv
-    dec = build_decomposition(groups(15))
+    dec = NewSpaceDecomposition(groups(15))
     body = decomposition_table_csv(dec, seed=1)
     lines = body.splitlines()
     assert lines[0] == "q,q_prime,dim_new,spade,norm_identity_residual"
@@ -291,7 +290,7 @@ def test_pythagoras_across_decomposition(model, lab, groups):
     # || M^k H ||_2^2 = sum over divisors of spade * || M^k proj e H ||_2^2
     # (the reduction identity behind passing to new vectors at each level)
     g = groups(15)
-    dec = build_decomposition(g)
+    dec = NewSpaceDecomposition(g)
     xi = 0.01 + 0.3j
     rng = np.random.default_rng(11)
     _, masses = lab.cylinder_masses(4)
@@ -310,6 +309,6 @@ def test_pythagoras_across_decomposition(model, lab, groups):
 
 def test_decomposition_size_guard():
     # q = 105 builds (order 967680 <= 1e6) but exceeds the decomposition cap
-    g = group_mod_q(105)
+    g = GroupModQ.build(105)
     with pytest.raises(TooLarge):
-        build_decomposition(g)
+        NewSpaceDecomposition(g)

@@ -85,6 +85,11 @@ def test_sentinel_rate_matches_gap(lab):
     assert abs(rate - gap) <= 0.1 * gap
 
 
+def test_sentinel_rate_is_rpf_gap(lab):
+    # the q = 1 operator's second eigenvalue is the cylinder surrogate of the RPF gap
+    assert abs(dc.sentinel_decay_rate(lab) - lab.rpf(0.0).gap) <= 1e-6
+
+
 def test_consistency_of_regimes(lab):
     # word-model decay at b = 0 vs grid twisted radius at b = 0 within 10%
     rate = dc.sentinel_decay_rate(lab)

@@ -15,10 +15,10 @@ from thinlab import (
     build_measures,
     build_return_set,
     cayley_gap,
-    convolve,
     flattening_pipeline,
     generates_full,
 )
+from thinlab import congruence as cg
 from thinlab import expander as ex
 from thinlab import symbolic as sym
 from thinlab.errors import EnumerationTooLarge, ModulusMismatch, NoConvergence, NotGenerating
@@ -278,7 +278,7 @@ def _stalled_eigsh(*args, **kwargs):
 def test_conv_opnorm_iteration_raises_when_unconverged(groups, monkeypatch):
     g13 = groups(13)
     weights = _random_measure(g13, 50, 16)
-    mz = ex.mean_zero_projector(g13)
+    mz = cg.mean_zero_projector(g13)
     assert 0.0 < ex.conv_opnorm(g13, weights, mz, svd_cap=0) <= np.abs(weights).sum()
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _stalled_eigsh)
     with pytest.raises(NoConvergence):
@@ -288,7 +288,7 @@ def test_conv_opnorm_iteration_raises_when_unconverged(groups, monkeypatch):
 def test_conv_opnorm_lanczos_matches_dense(groups):
     g13 = groups(13)
     weights = _random_measure(g13, 50, 16)
-    for proj in (ex.mean_zero_projector(g13), ex.new_space_projector(g13)):
+    for proj in (cg.mean_zero_projector(g13), cg.new_space_projector(g13)):
         dense = ex.conv_opnorm(g13, weights, proj)
         assert abs(ex.conv_opnorm(g13, weights, proj, svd_cap=0) - dense) <= 1e-10 * dense
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from thinlab import MobiusMap, SchottkyData, build_markov_model, mobius_apply, validate_schottky
+from thinlab import MobiusMap, SchottkyData, build_markov_model, validate_schottky
 from thinlab.errors import (
     NonHyperbolicGenerator,
     OverlappingDisks,
@@ -47,18 +47,18 @@ def test_determinant_enforced():
         MobiusMap(1, 1, 1, 1)
 
 
-def test_mobius_apply_identity():
-    assert mobius_apply(MobiusMap(1, 0, 0, 1), 0.7) == (0.7, 1.0)
+def test_mobius_map_apply_identity():
+    assert MobiusMap(1, 0, 0, 1).apply(0.7) == (0.7, 1.0)
 
 
-def test_mobius_apply_example():
-    img, deriv = mobius_apply(MobiusMap(2, 3, 1, 2), 0.0)
+def test_mobius_map_apply_example():
+    img, deriv = MobiusMap(2, 3, 1, 2).apply(0.0)
     assert img == 1.5 and deriv == 0.25
 
 
-def test_mobius_apply_pole():
+def test_mobius_map_apply_pole():
     with pytest.raises(PoleHit):
-        mobius_apply(MobiusMap(2, 3, 1, 2), -2.0)
+        MobiusMap(2, 3, 1, 2).apply(-2.0)
 
 
 def test_transition_count(model):
