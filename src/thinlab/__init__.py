@@ -32,7 +32,6 @@ from .congruence import (
     GroupModQ,
     NewSpaceDecomposition,
     cocycle_mod,
-    congruence_apply,
     project_and_scale,
 )
 from .expander import (

@@ -107,11 +107,9 @@ def load_config(path, args):
 
 
 def build_model(doc):
-    data = SchottkyData.from_json_dict(doc)
-    report = validate_schottky(data)
-    if not report.ok:
-        raise report.violations[0]
-    return build_markov_model(data)
+    """The Markov model of the config's group; raises the first violation of
+    validate_schottky, as `thinlab validate` lists them."""
+    return build_markov_model(SchottkyData.from_json_dict(doc))
 
 
 def write_artifact(out_dir, command, ext, body):
@@ -244,11 +242,13 @@ def cmd_decay(cfg, doc, a, b):
         p = cfg.p
     l = cfg.l if cfg.l is not None else p + 1
     xi = complex(a, b)
+    S = expander.build_return_set(model, 0, 0, p)
 
     def one(q):
         group = congruence.GroupModQ.build(q)
         sched = decay.make_schedule(q, consts, l=l)
-        return decay.decay_small_b(lab, group, sched, xi, cfg.seed, depth=cfg.depth)
+        return decay.decay_small_b(lab, group, sched, xi, cfg.seed, depth=cfg.depth,
+                                   certificate=expander.generates_full(S, group))
 
     curves = _pmap(one, qs)
     rows = []
@@ -319,34 +319,32 @@ def build_parser():
     ap = argparse.ArgumentParser(prog="thinlab", description="congruence transfer-operator laboratory")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", required=True, help="group JSON file")
-        p.add_argument("--out", default=None, help="artifact directory")
-        p.add_argument("--degree", type=int, default=None)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--p", type=int, default=None, dest="p")
-        p.add_argument("--l", type=int, default=None, dest="l")
-        p.add_argument("--q", default=None, help="comma-separated square-free moduli")
+    # flags shared by several subcommands; each overrides its config key
+    shared = {"out": dict(help="artifact directory"),
+              "degree": dict(type=int), "depth": dict(type=int), "seed": dict(type=int),
+              "p": dict(type=int), "l": dict(type=int),
+              "q": dict(help="comma-separated square-free moduli")}
 
-    for name in ("validate", "delta"):
-        common(sub.add_parser(name))
-    p_rpf = sub.add_parser("rpf")
-    common(p_rpf)
-    p_rpf.add_argument("--a", type=float, default=0.0)
-    p_cay = sub.add_parser("cayley")
-    common(p_cay)
-    p_fl = sub.add_parser("flatten")
-    common(p_fl)
+    def command(name, *flags):
+        """A subcommand with --config and the shared flags its cmd_* function reads."""
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True, help="group JSON file")
+        for flag in flags:
+            p.add_argument("--" + flag, **shared[flag])
+        return p
+
+    command("validate")
+    command("delta", "out", "degree")
+    command("rpf", "out", "degree").add_argument("--a", type=float, default=0.0)
+    command("cayley", "out", "seed", "p", "q")
+    p_fl = command("flatten", "out", "degree", "seed", "p", "l", "q")
     p_fl.add_argument("--r", type=int, required=True)
     p_fl.add_argument("--b", type=float, default=0.3)
-    p_dec = sub.add_parser("decay")
-    common(p_dec)
+    p_dec = command("decay", "out", "degree", "depth", "seed", "p", "l", "q")
     p_dec.add_argument("--a", type=float, default=0.0)
     p_dec.add_argument("--b", type=float, default=0.0)
-    p_tw = sub.add_parser("twist")
-    common(p_tw)
-    p_tw.add_argument("--b", default="5,20,80", help="comma-separated twist frequencies")
+    command("twist", "out", "degree").add_argument("--b", default="5,20,80",
+                                                   help="comma-separated twist frequencies")
     p_rep = sub.add_parser("report")
     p_rep.add_argument("--out", default="thinlab-out")
     return ap

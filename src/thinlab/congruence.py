@@ -13,19 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbolic
-from .errors import (
-    BadPrime,
-    DepthExhausted,
-    InadmissibleWord,
-    ModulusMismatch,
-    NotInNewSpace,
-    NotSquareFree,
-    TooLarge,
-)
+from .errors import InadmissibleWord, ModulusMismatch, NotInNewSpace, NotSquareFree, TooLarge
 from .thermo import Walk
 
 MAX_ORDER = 10**6
 MAX_DECOMP_ORDER = 10**5
+NEW_SPACE_TOL = 1e-9  # relative spread of a fiber that proj_down accepts as constant
 
 
 def factorize(q):
@@ -84,7 +77,7 @@ class GroupModQ:
         self.identity = int(self.index_of(np.array([1, 0, 0, 1], dtype=np.int64)))
 
     @classmethod
-    def build(cls, q, bad_primes=()):
+    def build(cls, q):
         if q == 1:
             return cls(1, np.array([[1, 0, 0, 1]], dtype=np.int64))
         if q < 1:
@@ -92,9 +85,6 @@ class GroupModQ:
         fac = factorize(q)
         if any(e > 1 for _, e in fac):
             raise NotSquareFree(q)
-        for p, _ in fac:
-            if p in bad_primes:
-                raise BadPrime(q, p)
         if sl2_order(q) > MAX_ORDER:
             raise TooLarge(f"SL2(Z/{q}) has order {sl2_order(q)} > {MAX_ORDER}")
         tables = [(_enumerate_prime(p), p) for p, _ in fac]
@@ -324,17 +314,6 @@ class CongruenceOperator:
         return values
 
 
-def congruence_apply(lab, group, H, xi, k, streaming=False):
-    """k-fold application of the normalized congruence operator at xi = a + ib."""
-    xi = complex(xi)
-    if abs(xi.real) >= lab.a0p:
-        raise ValueError(f"|Re xi| = {abs(xi.real)} must stay below a0' = {lab.a0p}")
-    if k > H.depth and not streaming:
-        raise DepthExhausted(f"k = {k} exceeds cylinder depth {H.depth}; pass streaming=True")
-    op = CongruenceOperator(lab, group, xi.imag, H.depth, a=xi.real)
-    return CongruenceFunction(H.depth, H.words, H.group, op.apply_k(H.values, k))
-
-
 # ---- new-vector decomposition ----
 
 def _divisors(q):
@@ -406,37 +385,33 @@ class NewSpaceDecomposition:
                 out += mu * self.average(e, arr)
         return out
 
-    def proj_down(self, d, phi, tol=1e-9):
+    def proj_down(self, d, phi):
         """Push a level-d-invariant vector down to F_d by coset evaluation."""
         arr = np.asarray(phi, dtype=complex)
         means = self._fiber_means(d, arr)
         spread = np.abs(arr - means[..., self.labels[d]]).max()
         scale = max(1.0, np.abs(arr).max())
-        if spread > tol * scale:
-            raise NotInNewSpace(f"fiber varies over ker by {spread}, tolerance {tol * scale}")
+        if spread > NEW_SPACE_TOL * scale:
+            raise NotInNewSpace(f"fiber varies over ker by {spread}, tolerance {NEW_SPACE_TOL * scale}")
         return means
 
-    def lift(self, d, psi):
-        return np.asarray(psi)[..., self.labels[d]]
+
+def mean_zero_projector(phi):
+    """Orthogonal projection of each fiber onto the mean-zero functions."""
+    return phi - phi.mean(axis=-1, keepdims=True)
 
 
-def mean_zero_projector(group):
-    def proj(phi):
-        return phi - phi.mean(axis=-1, keepdims=True)
-    return proj
-
-
-def new_space_projector(group, decomp=None):
+def new_space_projector(group):
     """Projector onto the level-q new space E^q_q (mean-zero for q = 1 and prime q)."""
     if len(factorize(group.q)) <= 1:
-        return mean_zero_projector(group)
-    if decomp is None:
-        decomp = NewSpaceDecomposition(group)
+        return mean_zero_projector
+    decomp = NewSpaceDecomposition(group)
     return lambda phi: decomp.project_new(group.q, phi)
 
 
-def decomposition_table_csv(decomp, seed=0, trials=5):
-    """CSV body of per-(q, q') dimensions, indices, and norm-identity residuals."""
+def decomposition_table_csv(decomp, seed=0):
+    """CSV body of per-(q, q') dimensions, indices, and norm-identity residuals
+    (the worst over five seeded random vectors per divisor)."""
     import csv as _csv
     import io as _io
 
@@ -448,7 +423,7 @@ def decomposition_table_csv(decomp, seed=0, trials=5):
         if d == 1:
             continue
         worst = 0.0
-        for _ in range(trials):
+        for _ in range(5):
             phi = rng.standard_normal(decomp.group.order) + 1j * rng.standard_normal(decomp.group.order)
             new = decomp.project_new(d, phi)
             if np.linalg.norm(new) == 0:

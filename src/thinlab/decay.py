@@ -2,7 +2,7 @@
 curves for new-vector inputs, sup/Lipschitz one-shot bounds, and the twisted
 spectral radius of the base operator at large frequencies."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil, log
 
 import numpy as np
@@ -10,8 +10,11 @@ import numpy as np
 from . import symbolic
 from .congruence import (CongruenceFunction, CongruenceOperator, GroupModQ, cf_l2_norm, cf_lip,
                          cf_lip_norm, cf_sup_norm, new_space_projector)
-from .errors import BudgetExceeded, NotGenerating
+from .errors import BudgetExceeded, NotGenerating, TooLarge
 from .thermo import CollocationGrid, NormalizedPotential, assemble_transfer, dense_leading
+
+C0 = 2.0                       # r_q lies in [C0 log N, C0 log N + l)
+SENTINEL_MAX_CYLINDERS = 3000  # sentinel_decay_rate densifies an n x n matrix
 
 
 @dataclass
@@ -41,7 +44,7 @@ class DecaySchedule:
         return ok_r and ok_s and ok_window, {"r_in_range": ok_r, "s_condition": ok_s, "s_window": ok_window}
 
 
-def make_schedule(q, consts, C0=2.0, l=2, kappa_hat=0.05):
+def make_schedule(q, consts, l=2, kappa_hat=0.05):
     """Integers r_q (multiple of l in [C0 log N, C0 log N + l)) and the smallest
     s_q past the theta-decay threshold; C_s leaves room for s_q by construction."""
     N = float(q)
@@ -77,7 +80,7 @@ def small_b_distortion(lab, alpha, x, y, xi):
 
 # ---- new-vector inputs ----
 
-def random_new_vector(lab, group, depth, rng, decomp=None):
+def random_new_vector(lab, group, depth, rng):
     """Complex Gaussian per (cylinder, group element), projected fiberwise onto
     the level-q new space; for q = 1 the projection is nu_U mean-zero over U."""
     H = CongruenceFunction.random(lab.model, group, depth, rng)
@@ -85,7 +88,7 @@ def random_new_vector(lab, group, depth, rng, decomp=None):
         _, masses = lab.cylinder_masses(depth)
         H.values -= np.sum(masses[:, None] * H.values, axis=0)
     else:
-        H.values = new_space_projector(group, decomp)(H.values)
+        H.values = new_space_projector(group)(H.values)
     return H
 
 
@@ -102,11 +105,9 @@ class DecayCurve:
     lip_norm: float
     per_step_factor: float
     passed: bool
-    meta: dict = field(default_factory=dict)
 
 
-def decay_small_b(lab, group, schedule, xi, seed, depth=6, step_budget=60, decomp=None,
-                  certificate=None):
+def decay_small_b(lab, group, schedule, xi, seed, depth=6, step_budget=60, certificate=None):
     """Norms of M^{js} H for a seeded new-vector H, against N(q)^{-j kappa-hat}.
 
     `certificate` is the generates_full certificate for the return sets at this
@@ -118,7 +119,7 @@ def decay_small_b(lab, group, schedule, xi, seed, depth=6, step_budget=60, decom
     if schedule.s_q > step_budget:
         raise BudgetExceeded(f"s_q = {schedule.s_q} exceeds step budget {step_budget}")
     rng = np.random.default_rng(seed)
-    H = random_new_vector(lab, group, depth, rng, decomp=decomp)
+    H = random_new_vector(lab, group, depth, rng)
     theta = lab.constants().theta
     lip_norm = cf_lip_norm(H, theta)
     H.values /= lip_norm
@@ -146,13 +147,13 @@ def decay_small_b(lab, group, schedule, xi, seed, depth=6, step_budget=60, decom
                       float(lip_norm), float(per_step), passed)
 
 
-def supnorm_lipschitz_check(lab, group, schedule, xi, seed, depth=6, decomp=None, H=None):
+def supnorm_lipschitz_check(lab, group, schedule, xi, seed, depth=6, H=None):
     """One application of M^{s_q}: sup and Lipschitz ratios against the input
     Lipschitz norm, reported next to the (non-effective) N^{-kappa-hat}/2 shape."""
     xi = complex(xi)
     if H is None:
         rng = np.random.default_rng(seed)
-        H = random_new_vector(lab, group, depth, rng, decomp=decomp)
+        H = random_new_vector(lab, group, depth, rng)
     theta = lab.constants().theta
     denom = cf_lip_norm(H, theta)
     shape = 0.5 * schedule.norm_q() ** (-schedule.kappa_hat)
@@ -169,22 +170,28 @@ def supnorm_lipschitz_check(lab, group, schedule, xi, seed, depth=6, decomp=None
 def sentinel_decay_rate(lab, depth=6):
     """Second eigenvalue modulus of the q = 1 sentinel operator at xi = 0 on
     depth-D cylinders, from one dense solve of its cylinder shift S; the
-    surrogate of the base operator's RPF gap."""
+    surrogate of the base operator's RPF gap.  TooLarge past
+    SENTINEL_MAX_CYLINDERS cylinders (depth 8 has 8,748)."""
+    n = len(symbolic.word_table(lab.model.T, depth))
+    if n > SENTINEL_MAX_CYLINDERS:
+        raise TooLarge(f"depth {depth} has {n} cylinders; the dense solve takes at most "
+                       f"{SENTINEL_MAX_CYLINDERS}")
     op = CongruenceOperator(lab, GroupModQ.build(1), 0.0, depth)
     return dense_leading(op.S.toarray().real)[2]
 
 
 # ---- operator norm chain ----
 
-def operator_norm_bound(lab, group, xi, depth=5, seed=0, trials=5):
-    """Measured one-step growth factors of ||M H||_2 / ||H||_2 on random inputs;
-    they must stay below N e^{T0}."""
+def operator_norm_bound(lab, group, xi):
+    """Measured one-step growth factors of ||M H||_2 / ||H||_2 on five seeded
+    random inputs on depth-5 cylinders; they must stay below N e^{T0}."""
     xi = complex(xi)
-    rng = np.random.default_rng(seed)
+    depth = 5
+    rng = np.random.default_rng(0)
     op = CongruenceOperator(lab, group, xi.imag, depth, a=xi.real)
     _, masses = lab.cylinder_masses(depth)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(5):
         H = CongruenceFunction.random(lab.model, group, depth, rng)
         before = cf_l2_norm(H, masses)
         after = cf_l2_norm(CongruenceFunction(depth, H.words, group, op.apply(H.values)), masses)

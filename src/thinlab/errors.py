@@ -65,13 +65,6 @@ class TooLarge(ThinlabError):
     pass
 
 
-class BadPrime(ThinlabError):
-    def __init__(self, q, p):
-        super().__init__(f"modulus {q} shares the excluded prime {p}")
-        self.q = q
-        self.p = p
-
-
 class ModulusMismatch(ThinlabError):
     pass
 

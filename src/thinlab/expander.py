@@ -9,7 +9,7 @@ step matrices.
 """
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .thermo import RESIDUAL_TOL, Walk
 
 SVD_ORDER = 2000
 LANCZOS_TOL = 1e-12
+RETURN_SET_CAP = 200_000  # word pairs of one return set
+P_MAX = 4                 # highest return level detect_expansion tries
 
 
 # ---- return trajectory sets ----
@@ -31,15 +33,14 @@ class ReturnSet:
     z: int
     p: int
     elements: tuple          # integer MobiusMaps, deduplicated
-    symmetrized: bool = True
 
 
-def build_return_set(model, y, z, p, cap=200_000):
+def build_return_set(model, y, z, p):
     """All products c^{p+1}(alpha) c^{p+1}(alpha~)^{-1} over admissible word pairs
     from y to z with p+1 steps; symmetric and containing the identity by shape."""
     words = enumerate_words(model.T, y, z, p + 1)
-    if len(words) ** 2 > cap:
-        raise EnumerationTooLarge(f"{len(words)}^2 return-set pairs exceed cap {cap}")
+    if len(words) ** 2 > RETURN_SET_CAP:
+        raise EnumerationTooLarge(f"{len(words)}^2 return-set pairs exceed cap {RETURN_SET_CAP}")
     # one factor per step, final step pair (w[-2], z)
     cocs = [model.word_cocycle(w[:-1]) for w in words]
     seen = {}
@@ -82,8 +83,8 @@ def check_surjective(model, group):
     return generates_full(fake, group)
 
 
-def detect_expansion(model, qs, p_max=4, cap=200_000):
-    """Smallest level p whose return sets generate mod every usable q.
+def detect_expansion(model, qs):
+    """Smallest level p <= P_MAX whose return sets generate mod every usable q.
 
     Primes dividing a failing modulus are reported in q0; only
     strong-approximation failures are detectable this way, so the reported set
@@ -100,11 +101,11 @@ def detect_expansion(model, qs, p_max=4, cap=200_000):
             bad.update(p for p, _ in congruence.factorize(q))
             continue
         smallest = None
-        for p in range(1, p_max + 1):
+        for p in range(1, P_MAX + 1):
             ok = True
             for yz in pairs:
                 if (yz, p) not in sets:
-                    sets[(yz, p)] = build_return_set(model, yz[0], yz[1], p, cap=cap)
+                    sets[(yz, p)] = build_return_set(model, yz[0], yz[1], p)
                 if not generates_full(sets[(yz, p)], group)[0]:
                     ok = False
                     break
@@ -174,8 +175,6 @@ def cayley_gap(S, group, seed=0):
 class MeasureOnFq:
     group: GroupModQ
     weights: np.ndarray
-    tag: str
-    params: dict = field(default_factory=dict)
 
     def l1(self):
         return float(np.abs(self.weights).sum())
@@ -223,12 +222,11 @@ def build_measures(lab, group, x, r, s, tail, xi):
     omega = omega_tail(lab.model.T, tail[-1])
     _, _, f_tail = symbolic.birkhoff(lab.potential(a), tail, omega)
     nu = float(np.exp(f_tail)) * nu0
-    params = {"x": (x.preperiod, x.period), "r": r, "s": s, "tail": tail, "xi": (a, b)}
     return {
-        "mu": MeasureOnFq(group, mu, "mu", params),
-        "nu0": MeasureOnFq(group, nu0, "nu0", params),
-        "mu_hat": MeasureOnFq(group, mu_hat, "mu_hat", params),
-        "nu": MeasureOnFq(group, nu, "nu", params),
+        "mu": MeasureOnFq(group, mu),
+        "nu0": MeasureOnFq(group, nu0),
+        "mu_hat": MeasureOnFq(group, mu_hat),
+        "nu": MeasureOnFq(group, nu),
         "n_words": walk.size(),
     }
 
@@ -243,13 +241,16 @@ def transfer_apply_at(lab, group, H, xi, s, x):
     xi = complex(xi)
     model = lab.model
     depth = H.depth
-    walk = Walk.from_point(model, lab.potential(xi.real), x, group, track_words=True)
+    walk = Walk.from_point(model, lab.potential(xi.real), x, group)
     for _ in range(s):
         walk.step(range(model.N))
-    # cylinder of each leaf: word symbols (reversed prepend order) then x's
-    words = walk.words[:, ::-1]
+    # cylinder of each leaf: its prepended word, then x's symbols; the leaves
+    # run in lexicographic order of their words, so the words are the rows of
+    # the s-symbol word table that may precede x
+    words = symbolic.word_table(model.T, s)
+    words = words[model.T[words[:, -1], x.first] == 1]
     if s < depth:
-        fill = np.tile(np.array(x.symbols(depth - s), dtype=np.int8), (walk.size(), 1))
+        fill = np.tile(np.array(x.symbols(depth - s), dtype=np.int8), (len(words), 1))
         words = np.concatenate([words, fill], axis=1)
     else:
         words = words[:, :depth]
@@ -351,8 +352,7 @@ class FlatteningReport:
         }
 
 
-def flattening_pipeline(lab, group, x, r_prime, l, p, s_extra=2, tail=None, xi=0.3j,
-                        gaps=None, decomp=None, seed=0, svd_cap=SVD_ORDER):
+def flattening_pipeline(lab, group, x, r_prime, l, p, xi=0.3j, gaps=None, seed=0, svd_cap=SVD_ORDER):
     """Run the measure-flattening verification chain at one modulus.
 
     Checks, in order: the mu/mu-hat/nu comparison, the nu0 vs nu1 two-sided
@@ -371,10 +371,8 @@ def flattening_pipeline(lab, group, x, r_prime, l, p, s_extra=2, tail=None, xi=0
     if r_prime < 2:
         raise ValueError("block decomposition needs r' >= 2")
     r = r_prime * l
-    s = r + s_extra
-    if tail is None:
-        tail = all_words(model.T, s - r)[0]
-    tail = tuple(tail)
+    s = r + 2  # the tail is the first admissible 2-symbol word
+    tail = all_words(model.T, s - r)[0]
 
     gap_cache = dict(gaps) if gaps else {}
 
@@ -415,7 +413,6 @@ def flattening_pipeline(lab, group, x, r_prime, l, p, s_extra=2, tail=None, xi=0
 
     # per-block contraction on mean-zero vectors; the bound's deficit below 1 is
     # tracked separately because sqrt(1 - deficit) rounds to 1.0 for tiny deficits
-    mz = mean_zero_projector(group)
     eps_used = []
     c_meas_worst = 0.0
     c_bound_worst = 0.0
@@ -429,7 +426,8 @@ def flattening_pipeline(lab, group, x, r_prime, l, p, s_extra=2, tail=None, xi=0
         deficit = eps**2 / (2.0 * C0_flat**2 * model.N ** (2 * p))
         deficit_min = min(deficit_min, deficit)
         c_bound = float(np.sqrt(max(0.0, 1.0 - deficit)))
-        c_meas = conv_opnorm(group, eta.astype(complex), mz, svd_cap=svd_cap, seed=seed) / l1
+        c_meas = conv_opnorm(group, eta.astype(complex), mean_zero_projector, svd_cap=svd_cap,
+                             seed=seed) / l1
         c_meas_worst = max(c_meas_worst, c_meas)
         c_bound_worst = max(c_bound_worst, c_bound)
     entries["eta_contraction"] = {
@@ -439,14 +437,15 @@ def flattening_pipeline(lab, group, x, r_prime, l, p, s_extra=2, tail=None, xi=0
     values["eta_bound_deficit"] = float(deficit_min)
 
     # r-step contraction of nu0 on mean-zero vectors
-    ratio_nu = conv_opnorm(group, nu0.weights.astype(complex), mz, svd_cap=svd_cap, seed=seed) / nu0.l1()
+    ratio_nu = conv_opnorm(group, nu0.weights.astype(complex), mean_zero_projector, svd_cap=svd_cap,
+                           seed=seed) / nu0.l1()
     C3 = -np.log(c_bound_worst) if c_bound_worst > 0 else np.inf
     C_walk = float(np.exp((2 * C_est * theta**l - C3) / l))
     entries["walk_contraction"] = {"ratio": ratio_nu, "bound": C_walk**r, "passed": ratio_nu <= C_walk**r}
     values["walk_C"] = C_walk
 
     # new-space operator norm of mu against sqrt(#F) ||mu||_2
-    proj_new = new_space_projector(group, decomp)
+    proj_new = new_space_projector(group)
     opnorm_new = conv_opnorm(group, mu.weights, proj_new, svd_cap=svd_cap, seed=seed)
     trivial = float(np.sqrt(group.order) * mu.l2())
     entries["new_space_opnorm"] = {

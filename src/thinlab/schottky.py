@@ -197,7 +197,7 @@ def validate_schottky(data):
 
 
 class MarkovModel:
-    """Markov coding of the boundary map: intervals, transitions, branches, roof, cocycle."""
+    """Markov coding of the boundary map: intervals, transitions, branches, roof, word cocycle."""
 
     def __init__(self, data):
         report = validate_schottky(data)
@@ -232,12 +232,6 @@ class MarkovModel:
         """Roof value log |forward derivative of symbol j| at points v of U_j."""
         return self.gens[j].log_deriv_vec(v)
 
-    def cocycle(self, j, k=None):
-        """Matrix carried by the branch step (j, k); constant in k for Schottky data."""
-        if k is not None and not self.admissible(j, k):
-            raise InadmissibleStep(j, k)
-        return self.gens[j]
-
     def word_cocycle(self, word):
         """Exact integer product of the step matrices of a word, in word order."""
         m = IDENTITY
@@ -271,11 +265,6 @@ class MarkovModel:
                 lo = min(lo, vals.min())
                 hi = max(hi, vals.max())
         return float(lo), float(hi)
-
-
-class InadmissibleStep(ValueError):
-    def __init__(self, j, k):
-        super().__init__(f"transition {j} -> {k} is not admissible")
 
 
 def build_markov_model(data):

@@ -16,6 +16,7 @@ from .errors import EnumerationTooLarge, InadmissibleWord, NotMixing
 from .schottky import IDENTITY
 
 MAX_LEAVES = 5_000_000
+MAX_WORD_STEPS = 16  # longest word enumerate_words lists, in orbit steps
 
 
 # ---- transition structure ----
@@ -71,13 +72,13 @@ def all_words(T, depth):
     return list(map(tuple, word_table(T, depth).tolist()))
 
 
-def enumerate_words(T, y, z, p, max_steps=16):
+def enumerate_words(T, y, z, p):
     """All admissible words with p steps (p+1 symbols) from y to z, lexicographic.
 
     Word length here counts orbit steps; p = 0 degenerates to [(y,)] when y == z.
     """
-    if p > max_steps:
-        raise InadmissibleWord(f"refusing enumeration of {p}-step words (cap {max_steps})")
+    if p > MAX_WORD_STEPS:
+        raise InadmissibleWord(f"refusing enumeration of {p}-step words (cap {MAX_WORD_STEPS})")
     table = word_table(T, p + 1)
     return list(map(tuple, table[(table[:, 0] == y) & (table[:, -1] == z)].tolist()))
 

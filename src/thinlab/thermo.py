@@ -84,6 +84,10 @@ def assemble_transfer(model, grid, xi, normalized=False, potential=None):
 
 
 RESIDUAL_TOL = 1e-10
+PRESSURE_TOL = 1e-12
+# a0': every normalized potential f^(a) has |a| < A0P, the range the measured
+# constants cover
+A0P = 0.05
 
 
 def dense_leading(M):
@@ -114,9 +118,9 @@ class RpfSolution:
     gap: float           # |second eigenvalue| / lam
 
 
-def critical_exponent(model, grid, tol=1e-12, max_iter=200):
-    """Bowen pressure root: the s in (0, 1) where log lambda(s) = 0 at potential
-    -s tau, by Illinois regula falsi inside the [0, 1] bracket."""
+def critical_exponent(model, grid, max_iter=200):
+    """Bowen pressure root: the s in (0, 1) where |log lambda(s)| < PRESSURE_TOL
+    at potential -s tau, by Illinois regula falsi inside the [0, 1] bracket."""
     def loglam(s):
         return float(np.log(np.abs(np.linalg.eigvals(assemble_transfer(model, grid, -s))).max()))
 
@@ -128,7 +132,7 @@ def critical_exponent(model, grid, tol=1e-12, max_iter=200):
     for _ in range(max_iter):
         s = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         f = loglam(s)
-        if abs(f) < tol:
+        if abs(f) < PRESSURE_TOL:
             return s
         # Illinois: halve the stale endpoint's value when the same side moves twice
         if f > 0.0:
@@ -141,7 +145,7 @@ def critical_exponent(model, grid, tol=1e-12, max_iter=200):
             if side == -1:
                 f_lo *= 0.5
             side = -1
-    raise NoConvergence(f"pressure root not within {tol:g} after {max_iter} steps (bracket [{lo}, {hi}])")
+    raise NoConvergence(f"pressure root not within {PRESSURE_TOL:g} after {max_iter} steps (bracket [{lo}, {hi}])")
 
 
 def rpf_solve(model, grid, a, delta=None):
@@ -204,9 +208,6 @@ class PotentialConstants:
     T0: float
     A_f: float
     C_f: float
-    a0p: float
-    tau_min: float
-    tau_max: float
     b0: float = 1.0
 
     @property
@@ -230,12 +231,10 @@ class PotentialConstants:
 class ThermoLab:
     """Caches one model's grid, critical exponent, RPF data, and constants."""
 
-    def __init__(self, model, degree=16, a0p=0.05, theta=None, seed=0):
+    def __init__(self, model, degree=16, theta=None):
         self.model = model
         self.grid = CollocationGrid(model, degree)
-        self.a0p = a0p
         self.theta = float(theta if theta is not None else model.theta)
-        self.seed = seed
         self._rpf = {}
         self._potential = {}
         self._masses = {}
@@ -253,6 +252,9 @@ class ThermoLab:
         return self._rpf[key]
 
     def potential(self, a):
+        """The normalized potential f^(a); ValueError unless |a| < A0P."""
+        if not abs(a) < A0P:
+            raise ValueError(f"|Re xi| = {abs(a)} must stay below a0' = {A0P}")
         key = round(float(a), 14)
         if key not in self._potential:
             sol = self.rpf(key)
@@ -269,8 +271,8 @@ class ThermoLab:
 
     def _measure_constants(self):
         model, grid = self.model, self.grid
-        a_samples = [0.0, 0.01, -0.01, 0.04, -0.04, 0.8 * self.a0p, -0.8 * self.a0p]
-        a_samples = sorted({round(a, 12) for a in a_samples if abs(a) < self.a0p})
+        a_samples = [0.0, 0.01, -0.01, 0.04, -0.04, 0.8 * A0P, -0.8 * A0P]
+        a_samples = sorted({round(a, 12) for a in a_samples if abs(a) < A0P})
         pots = {a: self.potential(a) for a in a_samples}
 
         # A_f: difference quotient of f^(a) against f^(0) over all branch nodes
@@ -291,7 +293,7 @@ class ThermoLab:
         A_f = 1.05 * ratio
 
         # T0 and C_theta: empirical d_theta difference quotients of tau and f^(a)
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(0)
         pairs = lip_quotient_pairs(model, rng, depths=range(0, 9), samples_per_depth=60)
         t0 = 1.0
         c_theta = 0.0
@@ -308,16 +310,13 @@ class ThermoLab:
                 fy = pots[a].f_at_point(y, py)
                 t0 = max(t0, abs(fx - fy) / scale)
         T0 = 1.25 * max(t0, f_sup)
-        C_f = float(np.exp(A_f * self.a0p))
+        C_f = float(np.exp(A_f * A0P))
         return PotentialConstants(
             theta=self.theta,
             C_theta=1.05 * c_theta,
             T0=T0,
             A_f=A_f,
             C_f=C_f,
-            a0p=self.a0p,
-            tau_min=model.tau_min,
-            tau_max=model.tau_max,
         )
 
     # ---- cylinder data on depth-D words ----
@@ -371,7 +370,7 @@ class Walk:
     copy of a walk can be stepped while the original stays valid.
     """
 
-    def __init__(self, model, pot, sym, v, group=None, track_words=False):
+    def __init__(self, model, pot, sym, v, group=None):
         self.model = model
         self.pot = pot
         self.sym = np.asarray(sym)
@@ -384,17 +383,16 @@ class Walk:
         self.tau = np.zeros(self.v.size)
         self.cidx = None if group is None else np.full(self.v.size, group.identity)
         self.perms = None if group is None else [group.left_mul_perm(group.reduce(g)) for g in model.gens]
-        self.words = np.zeros((self.v.size, 0), dtype=np.int8) if track_words else None
 
     @classmethod
-    def from_point(cls, model, pot, x, group=None, track_words=False):
+    def from_point(cls, model, pot, x, group=None):
         """A walk whose only starting leaf is the symbolic point x."""
-        return cls(model, pot, [x.first], [symbolic.eval_point(model, x)], group, track_words)
+        return cls(model, pot, [x.first], [symbolic.eval_point(model, x)], group)
 
     def size(self):
         return self.sym.size
 
-    def step(self, symbols, cap=MAX_LEAVES):
+    def step(self, symbols):
         """Prepend each admissible symbol from `symbols` to every current leaf;
         returns the parent index of each new leaf."""
         model, pot = self.model, self.pot
@@ -414,9 +412,7 @@ class Walk:
         if self.cidx is not None:
             self.cidx = np.concatenate([self.perms[j][self.cidx[mask]] for j, mask, *_ in parts])
         self.sym = np.concatenate([np.full(p[1].size, p[0]) for p in parts])
-        if self.words is not None:
-            self.words = np.concatenate([self.words[parents], self.sym[:, None].astype(np.int8)], axis=1)
         self.v, self.logh, self.f, self.tau = (np.concatenate([p[i] for p in parts]) for i in range(2, 6))
-        if self.size() > cap:
-            raise EnumerationTooLarge(f"word enumeration grew past {cap} leaves")
+        if self.size() > MAX_LEAVES:
+            raise EnumerationTooLarge(f"word enumeration grew past {MAX_LEAVES} leaves")
         return parents

@@ -48,4 +48,4 @@ def groups():
 @pytest.fixture(scope="session")
 def expansion(model):
     """Detected return level and bad primes over the acceptance moduli."""
-    return detect_expansion(model, [5, 7, 11, 13, 15, 35], p_max=4)
+    return detect_expansion(model, [5, 7, 11, 13, 15, 35])

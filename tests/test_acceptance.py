@@ -18,7 +18,6 @@ from thinlab import (
     approx_transfer_check,
     build_return_set,
     cayley_gap,
-    congruence_apply,
     decay_small_b,
     flattening_pipeline,
     generates_full,
@@ -125,22 +124,21 @@ def _criterion3_body(acc):
         for d1, d2 in ((3, 5), (3, 15), (5, 15)):
             val = abs(np.vdot(dec.project_new(d1, phi), dec.project_new(d2, phi)))
             worst["orth"] = max(worst["orth"], val / np.linalg.norm(phi) ** 2)
+    op = cg.CongruenceOperator(lab, g15, xi.imag, depth, a=xi.real)
+    op_down = {d: cg.CongruenceOperator(lab, dec.subgroups[d], xi.imag, depth, a=xi.real) for d in (3, 5)}
     for t in range(20):
         H = CongruenceFunction.random(model, g15, depth, rng)
         H.values -= H.values.mean(axis=1, keepdims=True)
-        MH = congruence_apply(lab, g15, H, xi, 1)
+        MH = op.apply(H.values)
         scale = np.abs(H.values).max()
         for d in (3, 5, 15):
             He = CongruenceFunction(depth, H.words, g15, dec.project_new(d, H.values))
-            comm = np.abs(dec.project_new(d, MH.values)
-                          - congruence_apply(lab, g15, He, xi, 1).values).max() / scale
+            MHe = op.apply(He.values)
+            comm = np.abs(dec.project_new(d, MH) - MHe).max() / scale
             worst["comm"] = max(worst["comm"], comm)
             if d < 15:
-                sub = dec.subgroups[d]
-                MHe = congruence_apply(lab, g15, He, xi, 1)
-                down = dec.proj_down(d, MHe.values)
-                Hd = CongruenceFunction(depth, H.words, sub, dec.proj_down(d, He.values))
-                equiv = np.abs(down - congruence_apply(lab, sub, Hd, xi, 1).values).max() / scale
+                down = dec.proj_down(d, MHe)
+                equiv = np.abs(down - op_down[d].apply(dec.proj_down(d, He.values))).max() / scale
                 worst["equiv"] = max(worst["equiv"], equiv)
             # norm scaling through the projection
             _, masses = lab.cylinder_masses(depth)

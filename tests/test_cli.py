@@ -114,6 +114,37 @@ def test_flatten_rejects_several_moduli(config, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
+# (subcommand, flag) pairs that no cmd_* function reads; --r keeps flatten's
+# required flag from masking the rejection
+UNREAD = [("validate", f) for f in ("out", "degree", "depth", "seed", "p", "l", "q")] \
+    + [(c, f) for c in ("delta", "rpf", "twist") for f in ("depth", "seed", "p", "l", "q")] \
+    + [("cayley", f) for f in ("degree", "depth", "l")] + [("flatten", "depth")]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD, ids=[f"{c}-{f}" for c, f in UNREAD])
+def test_unread_flag_rejected(config, capsys, command, flag):
+    extra = ["--r", "8"] if command == "flatten" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", config, f"--{flag}", "3"] + extra)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{flag} 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--q", "10"], "NotGenerating:"),      # S(0, 0, 3) closes up mod 10 at 120 < 720 elements
+    (["--q", "5", "--a", "0.05"], "a0'"),  # the measured constants cover |a| < 0.05 only
+], ids=["non_generating", "a_at_a0p"])
+def test_decay_refusals_exit_2(config, tmp_path, capsys, args, message):
+    code = main(["decay", "--config", config, "--p", "3", "--depth", "3", "--out", str(tmp_path / "out")] + args)
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_rpf_takes_a_past_a0p(config, tmp_path, capsys):
+    # a0' bounds the normalized potentials, not the raw RPF data
+    assert main(["rpf", "--config", config, "--a", "0.3", "--out", str(tmp_path / "out")]) == 0
+
+
 def test_r_prime_flag_rejected(config, tmp_path, capsys):
     # r' is always r / l in `flatten`; the flag no longer exists
     with pytest.raises(SystemExit) as exc:

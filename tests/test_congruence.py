@@ -6,11 +6,10 @@ from thinlab import (
     GroupModQ,
     NewSpaceDecomposition,
     cocycle_mod,
-    congruence_apply,
     project_and_scale,
 )
 from thinlab import congruence as cg
-from thinlab.errors import BadPrime, DepthExhausted, ModulusMismatch, NotInNewSpace, NotSquareFree, TooLarge
+from thinlab.errors import ModulusMismatch, NotInNewSpace, NotSquareFree, TooLarge
 
 from oracles import congruence_apply_branches, sl2_count_bruteforce
 
@@ -46,11 +45,6 @@ def test_not_square_free():
 def test_too_large():
     with pytest.raises(TooLarge):
         GroupModQ.build(101)  # order 1_030_200 > 1e6
-
-
-def test_bad_prime():
-    with pytest.raises(BadPrime):
-        GroupModQ.build(10, bad_primes=(2,))
 
 
 def test_cocycle_mod_empty_and_sentinel(model, groups):
@@ -95,7 +89,7 @@ def test_apply_sentinel_matches_manual_sum(model, lab, groups):
     depth = 4
     rng = np.random.default_rng(2)
     H = CongruenceFunction.random(model, g1, depth, rng)
-    out = congruence_apply(lab, g1, H, 0.0 + 0.4j, 1)
+    out = cg.CongruenceOperator(lab, g1, 0.4, depth).apply(H.values)
     words, anchors = lab.anchors(depth)
     index = {w: i for i, w in enumerate(map(tuple, words.tolist()))}
     pot = lab.potential(0.0)
@@ -108,7 +102,7 @@ def test_apply_sentinel_matches_manual_sum(model, lab, groups):
             f = pot.f_step(j, w[0], np.array([v]), np.array([anchors[i]]))[0]
             tau = float(model.tau(j, np.array([v]))[0])
             acc += np.exp(f + 0.4j * tau) * H.values[index[(j,) + w[:-1]], 0]
-        assert abs(out.values[i, 0] - acc) <= 1e-12 * max(1.0, abs(acc))
+        assert abs(out[i, 0] - acc) <= 1e-12 * max(1.0, abs(acc))
 
 
 @pytest.mark.parametrize("q", [1, 5, 15])
@@ -141,22 +135,14 @@ def test_apply_rejects_wrong_fiber_shape(lab, groups, shape):
 def test_fiber_constant_fixed_at_zero(model, lab, groups):
     g5 = groups(5)
     H = CongruenceFunction.build(model, g5, 4, fill=1.0)
-    out = congruence_apply(lab, g5, H, 0.0, 4)
-    assert np.abs(out.values - 1.0).max() <= 1e-10
+    out = cg.CongruenceOperator(lab, g5, 0.0, 4).apply_k(H.values, 4)
+    assert np.abs(out - 1.0).max() <= 1e-10
 
 
 def test_operator_norm_bound(model, lab, groups, consts):
     from thinlab.decay import operator_norm_bound
     worst, bound = operator_norm_bound(lab, groups(5), 0.02 + 0.3j)
     assert worst <= bound
-
-
-def test_depth_exhausted(model, lab, groups):
-    g5 = groups(5)
-    H = CongruenceFunction.build(model, g5, 3, fill=1.0)
-    with pytest.raises(DepthExhausted):
-        congruence_apply(lab, g5, H, 0.0, 5)
-    congruence_apply(lab, g5, H, 0.0, 5, streaming=True)
 
 
 def test_fiber_action_unitary(model, groups):
@@ -255,22 +241,23 @@ def test_commutation_and_equivariance(model, lab, groups):
     dec = NewSpaceDecomposition(g)
     xi = 0.02 + 0.4j
     rng = np.random.default_rng(10)
+    op = cg.CongruenceOperator(lab, g, xi.imag, 4, a=xi.real)
     for _ in range(3):
         H = CongruenceFunction.random(model, g, 4, rng)
         H.values -= H.values.mean(axis=1, keepdims=True)
-        MH = congruence_apply(lab, g, H, xi, 1)
+        MH = op.apply(H.values)
         for d in (3, 5, 15):
-            left = dec.project_new(d, MH.values)
+            left = dec.project_new(d, MH)
             He = CongruenceFunction(4, H.words, g, dec.project_new(d, H.values))
-            right = congruence_apply(lab, g, He, xi, 1).values
+            right = op.apply(He.values)
             scale = max(1.0, np.abs(H.values).max())
             assert np.abs(left - right).max() <= 1e-9 * scale
             if d < 15:
                 sub = dec.subgroups[d]
                 down = CongruenceFunction(4, H.words, sub, dec.proj_down(d, right))
                 Hd = CongruenceFunction(4, H.words, sub, dec.proj_down(d, He.values))
-                Md = congruence_apply(lab, sub, Hd, xi, 1)
-                assert np.abs(down.values - Md.values).max() <= 1e-9 * scale
+                Md = cg.CongruenceOperator(lab, sub, xi.imag, 4, a=xi.real).apply(Hd.values)
+                assert np.abs(down.values - Md).max() <= 1e-9 * scale
 
 
 def test_decomposition_table_csv(groups):
@@ -296,7 +283,8 @@ def test_pythagoras_across_decomposition(model, lab, groups):
     _, masses = lab.cylinder_masses(4)
     H = CongruenceFunction.random(model, g, 4, rng)
     H.values -= H.values.mean(axis=1, keepdims=True)
-    Mk = congruence_apply(lab, g, H, xi, 2)
+    op = cg.CongruenceOperator(lab, g, xi.imag, 4, a=xi.real)
+    Mk = CongruenceFunction(4, H.words, g, op.apply_k(H.values, 2))
     total = cg.cf_l2_norm(Mk, masses) ** 2
     parts = 0.0
     for d in (3, 5, 15):

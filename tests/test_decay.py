@@ -11,7 +11,7 @@ from thinlab import (
 )
 from thinlab import decay as dc
 from thinlab import symbolic as sym
-from thinlab.errors import NotGenerating
+from thinlab.errors import NotGenerating, TooLarge
 from thinlab.thermo import CollocationGrid, NormalizedPotential, assemble_transfer, rpf_solve
 
 from oracles import growth_rate
@@ -88,6 +88,16 @@ def test_sentinel_rate_matches_gap(lab):
 def test_sentinel_rate_is_rpf_gap(lab):
     # the q = 1 operator's second eigenvalue is the cylinder surrogate of the RPF gap
     assert abs(dc.sentinel_decay_rate(lab) - lab.rpf(0.0).gap) <= 1e-6
+
+
+def test_sentinel_rate_refuses_depth_8(lab, monkeypatch):
+    # at 8,748 cylinders the dense solve ran for minutes and reached 1.8 GB; it is
+    # refused from the cylinder count, before the operator is built
+    def build(*args, **kwargs):
+        raise AssertionError("operator built past the cylinder cap")
+    monkeypatch.setattr(dc, "CongruenceOperator", build)
+    with pytest.raises(TooLarge):
+        dc.sentinel_decay_rate(lab, depth=8)
 
 
 def test_consistency_of_regimes(lab):

@@ -21,7 +21,7 @@ from thinlab import (
 from thinlab import congruence as cg
 from thinlab import expander as ex
 from thinlab import symbolic as sym
-from thinlab.errors import EnumerationTooLarge, ModulusMismatch, NoConvergence, NotGenerating
+from thinlab.errors import DepthExhausted, EnumerationTooLarge, ModulusMismatch, NoConvergence, NotGenerating
 
 from oracles import build_measures_fresh, cayley_lambda2_power, min_nontrivial_irrep_dim
 
@@ -50,7 +50,7 @@ def test_return_set_inclusion_trick(model, p0):
 
 def test_return_set_cap(model):
     with pytest.raises(EnumerationTooLarge):
-        build_return_set(model, 0, 0, 6, cap=10)
+        build_return_set(model, 0, 0, 6)  # 547^2 word pairs, past the cap
 
 
 def test_mod_two_collapses(model, groups):
@@ -207,6 +207,14 @@ def test_approx_exact_on_locally_constant(model, lab, groups):
     assert rep["sup"] <= 1e-9
 
 
+def test_approx_refuses_shallow_input(model, lab, groups):
+    # the s-step word sum reads H on cylinders of depth s
+    g5 = groups(5)
+    H = CongruenceFunction.build(model, g5, 5, fill=1.0)
+    with pytest.raises(DepthExhausted):
+        approx_transfer_check(lab, g5, H, 0.3j, 4, 6)
+
+
 def test_approx_ratio_and_slope(model, lab, groups, consts):
     g5 = groups(5)
     theta = consts.theta
@@ -278,7 +286,7 @@ def _stalled_eigsh(*args, **kwargs):
 def test_conv_opnorm_iteration_raises_when_unconverged(groups, monkeypatch):
     g13 = groups(13)
     weights = _random_measure(g13, 50, 16)
-    mz = cg.mean_zero_projector(g13)
+    mz = cg.mean_zero_projector
     assert 0.0 < ex.conv_opnorm(g13, weights, mz, svd_cap=0) <= np.abs(weights).sum()
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _stalled_eigsh)
     with pytest.raises(NoConvergence):
@@ -288,7 +296,7 @@ def test_conv_opnorm_iteration_raises_when_unconverged(groups, monkeypatch):
 def test_conv_opnorm_lanczos_matches_dense(groups):
     g13 = groups(13)
     weights = _random_measure(g13, 50, 16)
-    for proj in (cg.mean_zero_projector(g13), cg.new_space_projector(g13)):
+    for proj in (cg.mean_zero_projector, cg.new_space_projector(g13)):
         dense = ex.conv_opnorm(g13, weights, proj)
         assert abs(ex.conv_opnorm(g13, weights, proj, svd_cap=0) - dense) <= 1e-10 * dense
 

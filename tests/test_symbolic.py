@@ -7,6 +7,7 @@ from thinlab import birkhoff, d_theta, enumerate_words, eval_point, mixing_expon
 from thinlab import symbolic as sym
 from thinlab.errors import EnumerationTooLarge, InadmissibleWord, NotMixing
 from thinlab.schottky import IDENTITY
+from thinlab.thermo import A0P
 
 from oracles import brute_force_words
 
@@ -140,7 +141,7 @@ def test_normalized_mass_is_one(lab):
 
 def test_mass_bound_up_to_twelve(lab, consts):
     x = sym.point((0,), (1,))
-    for a in (0.04, -0.04, 0.8 * lab.a0p):
+    for a in (0.04, -0.04, 0.8 * A0P):
         for k in (1, 4, 8, 12):
             assert lab.sum_exp_f(k, x, a) <= consts.C_f
 

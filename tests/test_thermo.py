@@ -130,6 +130,14 @@ def test_critical_exponent_raises_when_unconverged(model, lab):
         critical_exponent(model, lab.grid, max_iter=2)
 
 
+def test_potential_refuses_a_at_a0p(lab):
+    # the measured constants cover |a| < a0' = 0.05 only
+    lab.potential(0.04)
+    for a in (0.05, -0.05):
+        with pytest.raises(ValueError, match="a0'"):
+            lab.potential(a)
+
+
 def test_dense_leading_rejects_complex_leading_pair():
     # a real rotation has leading pair +-i; its real part is no eigenvector
     rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
