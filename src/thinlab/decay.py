@@ -95,8 +95,6 @@ def random_new_vector(lab, group, depth, rng):
 @dataclass
 class DecayCurve:
     q: int
-    xi: complex
-    seed: int
     s_q: int
     js: list
     norms: list
@@ -143,8 +141,8 @@ def decay_small_b(lab, group, schedule, xi, seed, depth=6, step_budget=60, certi
     total_steps = js[-1] * schedule.s_q
     per_step = (norms[-1] / norms[0]) ** (1.0 / total_steps) if total_steps else 1.0
     passed = all(n <= b * (1 + 1e-12) for n, b in zip(norms, bounds))
-    return DecayCurve(group.q, xi, seed, schedule.s_q, js, norms, norms_u, bounds,
-                      float(lip_norm), float(per_step), passed)
+    return DecayCurve(group.q, schedule.s_q, js, norms, norms_u, bounds, float(lip_norm),
+                      float(per_step), passed)
 
 
 def supnorm_lipschitz_check(lab, group, schedule, xi, seed, depth=6, H=None):

@@ -59,22 +59,25 @@ def reduced_generator_indices(S, group):
 
 
 def generates_full(S, group):
-    """Breadth-first closure of the reduced generators inside SL2(Z/q)."""
+    """Closure of the reduced generators in SL2(Z/q), grown one generator at a time:
+    each g outside the current subgroup H adds its left multiplication, and the
+    closure grows from the coset g H.  Exact: a finite set containing e and closed
+    under left multiplication by the generators is the subgroup they generate."""
     gens = [i for i in reduced_generator_indices(S, group) if i != group.identity]
-    visited = np.zeros(group.order, dtype=bool)
-    visited[group.identity] = True
-    frontier = np.array([group.identity])
-    perms = [group.left_mul_perm(i) for i in gens]
-    diameter = 0
-    while frontier.size:
-        nxt = np.unique(np.concatenate([perm[frontier] for perm in perms])) if perms else np.array([], dtype=int)
-        new = nxt[~visited[nxt]] if nxt.size else nxt
-        if new.size:
-            visited[new] = True
-            diameter += 1
-        frontier = new
-    closure = int(visited.sum())
-    return closure == group.order, {"closure_size": closure, "diameter": diameter, "n_generators": len(gens)}
+    inside = np.zeros(group.order, dtype=bool)
+    inside[group.identity] = True
+    perms = []
+    for g in gens:
+        if inside[g]:  # also every g once the closure is the whole group
+            continue
+        perms.append(group.left_mul_perm(g))
+        frontier = perms[-1][inside]  # g H, disjoint from H
+        while frontier.size:
+            inside[frontier] = True
+            nxt = np.unique(np.concatenate([perm[frontier] for perm in perms]))
+            frontier = nxt[~inside[nxt]]
+    closure = int(np.count_nonzero(inside))
+    return closure == group.order, {"closure_size": closure, "n_generators": len(gens)}
 
 
 def check_surjective(model, group):
@@ -173,7 +176,6 @@ def cayley_gap(S, group, seed=0):
 
 @dataclass
 class MeasureOnFq:
-    group: GroupModQ
     weights: np.ndarray
 
     def l1(self):
@@ -223,10 +225,10 @@ def build_measures(lab, group, x, r, s, tail, xi):
     _, _, f_tail = symbolic.birkhoff(lab.potential(a), tail, omega)
     nu = float(np.exp(f_tail)) * nu0
     return {
-        "mu": MeasureOnFq(group, mu),
-        "nu0": MeasureOnFq(group, nu0),
-        "mu_hat": MeasureOnFq(group, mu_hat),
-        "nu": MeasureOnFq(group, nu),
+        "mu": MeasureOnFq(mu),
+        "nu0": MeasureOnFq(nu0),
+        "mu_hat": MeasureOnFq(mu_hat),
+        "nu": MeasureOnFq(nu),
         "n_words": walk.size(),
     }
 

@@ -262,3 +262,32 @@ def build_measures_fresh(lab, group, x, r, s, tail, xi):
     _, _, f_tail = symbolic.birkhoff(lab.potential(a), tail, symbolic.omega_tail(lab.model.T, tail[-1]))
     nu = float(np.exp(f_tail)) * nu0
     return {"mu": mu, "nu0": nu0, "mu_hat": mu_hat, "nu": nu, "n_words": walk.size()}
+
+
+def closure_size_bfs(mats, q):
+    """Order of the subgroup of SL2(Z/q) generated by the integer matrices
+    `mats` (4-tuples (a, b, c, d)): a breadth-first closure under left
+    multiplication by all of them at once, with 2x2 products taken mod q and
+    elements keyed by their residues; no group table is used."""
+    gens = np.unique(np.array([[e % q for e in m] for m in mats], dtype=np.int64), axis=0)
+    g = gens[:, None, :]
+
+    def key(x):
+        return ((x[:, 0] * q + x[:, 1]) * q + x[:, 2]) * q + x[:, 3]
+
+    seen = np.zeros(q**4, dtype=bool)
+    frontier = np.array([[1, 0, 0, 1]], dtype=np.int64) % q
+    seen[key(frontier)] = True
+    size = 1
+    while frontier.size:
+        x = frontier[None, :, :]
+        prod = np.stack([g[..., 0] * x[..., 0] + g[..., 1] * x[..., 2],
+                         g[..., 0] * x[..., 1] + g[..., 1] * x[..., 3],
+                         g[..., 2] * x[..., 0] + g[..., 3] * x[..., 2],
+                         g[..., 2] * x[..., 1] + g[..., 3] * x[..., 3]], axis=-1).reshape(-1, 4) % q
+        keys, first = np.unique(key(prod), return_index=True)
+        new = ~seen[keys]
+        seen[keys[new]] = True
+        frontier = prod[first[new]]
+        size += int(new.sum())
+    return size

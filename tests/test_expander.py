@@ -23,7 +23,13 @@ from thinlab import expander as ex
 from thinlab import symbolic as sym
 from thinlab.errors import DepthExhausted, EnumerationTooLarge, ModulusMismatch, NoConvergence, NotGenerating
 
-from oracles import build_measures_fresh, cayley_lambda2_power, min_nontrivial_irrep_dim
+from oracles import (
+    build_measures_fresh,
+    cayley_lambda2_power,
+    closure_size_bfs,
+    min_nontrivial_irrep_dim,
+    sl2_count_bruteforce,
+)
 
 
 def test_return_set_contains_identity(model):
@@ -72,6 +78,26 @@ def test_closure_divides_group_order(model, groups):
         S = build_return_set(model, 0, 0, p)
         _, cert = generates_full(S, groups(q))
         assert groups(q).order % cert["closure_size"] == 0
+
+
+def test_closure_matches_bfs_oracle(model, groups):
+    # every return set of levels 1-3 plus the Schottky generators, at moduli
+    # whose closures run from 1 to the whole group: the same verdict and size
+    # as a breadth-first closure over all generators at once
+    sets = [build_return_set(model, y, z, p)
+            for p in (1, 2, 3) for y in range(model.N) for z in range(model.N)]
+    sets.append(ex.ReturnSet(-1, -1, 0, tuple(model.gens)))
+    verdicts, sizes = set(), set()
+    for q in (2, 3, 6, 10, 15):
+        order = sl2_count_bruteforce(q)
+        for S in sets:
+            ok, cert = generates_full(S, groups(q))
+            size = closure_size_bfs([m.tuple() for m in S.elements], q)
+            assert (ok, cert["closure_size"]) == (size == order, size), (q, S.y, S.z, S.p)
+            verdicts.add(ok)
+            sizes.add(size)
+    assert verdicts == {True, False}
+    assert min(sizes) == 1 and max(sizes) == sl2_count_bruteforce(15)
 
 
 def test_cayley_gap_degree_exact(model, groups, expansion):
