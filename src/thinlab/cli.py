@@ -164,8 +164,10 @@ def cmd_delta(cfg, doc):
     model = build_model(doc)
     lab = thermo.ThermoLab(model, degree=cfg.degree, theta=cfg.theta)
     sol = lab.rpf(0.0)
-    residual = abs(sol.lam - 1.0)
-    payload = {"delta": lab.delta, "gap": sol.gap, "degree": cfg.degree, "residual": residual}
+    # the pressure root at twice the degree shows how far delta is from converged
+    fine = thermo.critical_exponent(model, thermo.CollocationGrid(model, 2 * cfg.degree))
+    payload = {"delta": lab.delta, "gap": sol.gap, "degree": cfg.degree, "residual": sol.residual,
+               "discretization": abs(lab.delta - fine)}
     body = json.dumps(payload, indent=2)
     print(body)
     write_artifact(cfg.out_dir, "delta", "json", body)

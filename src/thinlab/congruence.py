@@ -197,7 +197,6 @@ class CongruenceFunction:
 
     depth: int
     words: np.ndarray    # symbolic.word_table(T, depth)
-    group: GroupModQ
     values: np.ndarray  # (n_cylinders, order) complex
 
     @classmethod
@@ -206,14 +205,14 @@ class CongruenceFunction:
         vals = np.zeros((len(words), group.order), dtype=complex)
         if fill is not None:
             vals[:] = fill
-        return cls(depth, words, group, vals)
+        return cls(depth, words, vals)
 
     @classmethod
     def random(cls, model, group, depth, rng):
         words = symbolic.word_table(model.T, depth)
         shape = (len(words), group.order)
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        return cls(depth, words, group, vals)
+        return cls(depth, words, vals)
 
     @classmethod
     def random_dtheta_lipschitz(cls, model, group, depth, rng, theta):
@@ -226,7 +225,7 @@ class CongruenceFunction:
             g = rng.standard_normal((len(prefixes), group.order)) \
                 + 1j * rng.standard_normal((len(prefixes), group.order))
             vals += theta**m * g[symbolic.word_rank(prefixes, words[:, : m + 1], model.N)]
-        return cls(depth, words, group, vals)
+        return cls(depth, words, vals)
 
 
 def cf_l2_norm(H, masses):
@@ -443,9 +442,7 @@ def project_and_scale(decomp, H, d, lab=None, theta=None):
     Returns the pushed-down CongruenceFunction, the index ratio spade, and the
     l2 norms of both sides (nu_U-weighted when lab is given, else flat masses).
     """
-    sub = decomp.subgroups[d]
-    down = decomp.proj_down(d, H.values)
-    Hd = CongruenceFunction(H.depth, H.words, sub, down)
+    Hd = CongruenceFunction(H.depth, H.words, decomp.proj_down(d, H.values))
     spade = decomp.spade(d)
     if lab is not None:
         _, masses = lab.cylinder_masses(H.depth)

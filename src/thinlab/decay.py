@@ -129,7 +129,7 @@ def decay_small_b(lab, group, schedule, xi, seed, depth=6, step_budget=60, certi
     values = H.values
     j = 0
     while j * schedule.s_q <= step_budget:
-        cf = CongruenceFunction(depth, H.words, group, values)
+        cf = CongruenceFunction(depth, H.words, values)
         js.append(j)
         norms.append(cf_l2_norm(cf, masses))
         norms_u.append(cf_l2_norm(cf, flat))
@@ -158,7 +158,7 @@ def supnorm_lipschitz_check(lab, group, schedule, xi, seed, depth=6, H=None):
     if denom == 0.0:
         return {"ratio_inf": 0.0, "ratio_lip": 0.0, "shape_bound": shape, "s_q": schedule.s_q}
     op = CongruenceOperator(lab, group, xi.imag, H.depth, a=xi.real)
-    out = CongruenceFunction(H.depth, H.words, group, op.apply_k(H.values, schedule.s_q))
+    out = CongruenceFunction(H.depth, H.words, op.apply_k(H.values, schedule.s_q))
     ratio_inf = cf_sup_norm(out) / denom
     ratio_lip = cf_lip(out, theta) / denom
     return {"ratio_inf": float(ratio_inf), "ratio_lip": float(ratio_lip), "shape_bound": shape,
@@ -192,7 +192,7 @@ def operator_norm_bound(lab, group, xi):
     for _ in range(5):
         H = CongruenceFunction.random(lab.model, group, depth, rng)
         before = cf_l2_norm(H, masses)
-        after = cf_l2_norm(CongruenceFunction(depth, H.words, group, op.apply(H.values)), masses)
+        after = cf_l2_norm(CongruenceFunction(depth, H.words, op.apply(H.values)), masses)
         worst = max(worst, after / before)
     return worst, lab.model.N * float(np.exp(lab.constants().T0))
 
@@ -210,9 +210,9 @@ def twisted_radius(lab, b, degree=None):
     if degree is None:
         degree = max(24, int(ceil(2.0 * abs(b))))
     grid = CollocationGrid(model, degree)
-    lam0, h, _ = dense_leading(assemble_transfer(model, grid, -lab.delta))
+    lam0, h, _, _ = dense_leading(assemble_transfer(model, grid, -lab.delta))
     if h.sum() < 0:
         h = -h
     pot = NormalizedPotential(model, grid, 0.0, lab.delta, float(lam0), h.reshape(model.N, degree))
-    lam, _, _ = dense_leading(assemble_transfer(model, grid, 1j * float(b), normalized=True, potential=pot))
+    lam = dense_leading(assemble_transfer(model, grid, 1j * float(b), normalized=True, potential=pot))[0]
     return float(abs(lam))

@@ -66,14 +66,6 @@ class MobiusMap:
             raise PoleHit(x)
         return (self.a * x + self.b) / den, 1.0 / den**2
 
-    def apply_vec(self, x):
-        """Vectorized image of an array of points; no pole guard."""
-        return (self.a * x + self.b) / (self.c * x + self.d)
-
-    def log_deriv_vec(self, x):
-        """log |derivative| at an array of points."""
-        return -2.0 * np.log(np.abs(self.c * x + self.d))
-
 
 IDENTITY = MobiusMap(1, 0, 0, 1)
 
@@ -207,6 +199,11 @@ class MarkovModel:
         self.rank = data.rank
         self.gens = [data.symbol_matrix(j) for j in range(self.N)]
         self.gens_inv = [m.inverse() for m in self.gens]
+        # (4, N) coefficients (a, b, c, d) of each symbol's map, read per point
+        # by the branch evaluators; stored as floats, which hold these small
+        # integers exactly and which numpy mixes with float points faster
+        self.coef = np.array([m.tuple() for m in self.gens], dtype=float).T
+        self.coef_inv = np.array([m.tuple() for m in self.gens_inv], dtype=float).T
         self.intervals = np.array([data.disk(j).interval for j in range(self.N)])
         bar = np.array([data.bar(j) for j in range(self.N)])
         self.bar = bar
@@ -221,16 +218,21 @@ class MarkovModel:
     def admissible(self, j, k):
         return self.T[j, k] == 1
 
+    # j is one symbol or an array of symbols, one per point; no pole guard
+
     def inv_branch(self, j, x):
         """sigma^{-(j,k)} applied to points x of U_k (k implicit, k != bar(j))."""
-        return self.gens_inv[j].apply_vec(x)
+        a, b, c, d = self.coef_inv.take(j, axis=1)
+        return (a * x + b) / (c * x + d)
 
     def forward(self, j, x):
-        return self.gens[j].apply_vec(x)
+        a, b, c, d = self.coef.take(j, axis=1)
+        return (a * x + b) / (c * x + d)
 
     def tau(self, j, v):
         """Roof value log |forward derivative of symbol j| at points v of U_j."""
-        return self.gens[j].log_deriv_vec(v)
+        c, d = self.coef[2:].take(j, axis=1)
+        return -2.0 * np.log(np.abs(c * v + d))
 
     def word_cocycle(self, word):
         """Exact integer product of the step matrices of a word, in word order."""
@@ -244,27 +246,13 @@ class MarkovModel:
     def _max_contraction(self):
         # inverse-branch derivatives are monotone on each source interval, so
         # endpoint evaluation is exact
-        worst = 0.0
-        for j in range(self.N):
-            minv = self.gens_inv[j]
-            for k in range(self.N):
-                if not self.admissible(j, k):
-                    continue
-                for x in self.intervals[k]:
-                    worst = max(worst, abs(minv.apply(x)[1]))
-        return worst
+        pairs = zip(*np.nonzero(self.T))
+        return max(abs(self.gens_inv[j].apply(x)[1]) for j, k in pairs for x in self.intervals[k])
 
     def _roof_bounds(self):
-        lo, hi = np.inf, -np.inf
-        for j in range(self.N):
-            for k in range(self.N):
-                if not self.admissible(j, k):
-                    continue
-                ends = self.inv_branch(j, self.intervals[k])
-                vals = self.tau(j, ends)
-                lo = min(lo, vals.min())
-                hi = max(hi, vals.max())
-        return float(lo), float(hi)
+        j, k = np.nonzero(self.T)
+        vals = self.tau(j[:, None], self.inv_branch(j[:, None], self.intervals[k]))
+        return float(vals.min()), float(vals.max())
 
 
 def build_markov_model(data):

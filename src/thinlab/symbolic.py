@@ -198,7 +198,7 @@ def eval_point(model, x, check=True):
         raise ValueError("period composite fixes infinity; invalid coding")
     v = (lam - comp.d) / comp.c
     for s in reversed(x.preperiod):
-        v = model.gens_inv[s].apply_vec(v)
+        v = model.inv_branch(s, v)
     return float(v)
 
 
@@ -218,9 +218,7 @@ def birkhoff(potential, alpha, x):
     seq = alpha + (x.first,)
     if not admissible(model.T, seq):
         raise InadmissibleWord(f"word {alpha} cannot be prepended to x starting at {x.first}")
-    assert_admissible(model.T, x)
-
-    v = eval_point(model, x)
+    v = eval_point(model, x)  # InadmissibleWord unless x is admissible
     logh = potential.logh0_at(x.first, v)
     tau_sum = 0.0
     f_sum = 0.0

@@ -35,10 +35,20 @@ class CollocationGrid:
     def dim(self):
         return self.model.N * self.m
 
+    @cached_property
+    def branches(self):
+        """(k, i, j, u): every admissible branch (j, k) at every node i of U_k,
+        in (k, j, i) order, with the node u = nodes[k, i]."""
+        k, j = np.nonzero(self.model.T.T)
+        k, j = np.repeat(k, self.m), np.repeat(j, self.m)
+        i = np.tile(np.arange(self.m), k.size // self.m)
+        return k, i, j, self.nodes[k, i]
+
     def bary_matrix(self, j, x):
-        """Rows of interpolation weights from the nodes of interval j to points x."""
+        """Rows of interpolation weights from the nodes of U_j to points x; j is
+        one symbol or one per point."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        diff = x[:, None] - self.nodes[j][None, :]
+        diff = x[:, None] - self.nodes[j]
         hit = np.abs(diff) < 1e-300
         diff = np.where(hit, 1.0, diff)
         rows = self.wbary[None, :] / diff
@@ -65,19 +75,16 @@ def assemble_transfer(model, grid, xi, normalized=False, potential=None):
         if abs(xi.real - potential.a) > 1e-12:
             raise ValueError(f"Re(xi) = {xi.real} does not match potential a = {potential.a}")
     m, N = grid.m, model.N
-    M = np.zeros((N * m, N * m), dtype=complex)
-    for k in range(N):
-        u = grid.nodes[k]
-        for j in range(N):
-            if not model.admissible(j, k):
-                continue
-            v = model.inv_branch(j, u)
-            tau = model.tau(j, v)
-            if normalized:
-                w = np.exp(potential.f_step(j, k, v, u) + 1j * xi.imag * tau)
-            else:
-                w = np.exp(xi * tau)
-            M[k * m:(k + 1) * m, j * m:(j + 1) * m] += w[:, None] * grid.bary_matrix(j, v)
+    k, i, j, u = grid.branches
+    v = model.inv_branch(j, u)
+    tau = model.tau(j, v)
+    if normalized:
+        w = np.exp(potential.f_step(j, k, v, u) + 1j * xi.imag * tau)
+    else:
+        w = np.exp(xi * tau)
+    M = np.zeros((N * m, N, m), dtype=complex)
+    M[k * m + i, j] += w[:, None] * grid.bary_matrix(j, v)
+    M = M.reshape(N * m, N * m)
     if np.abs(M.imag).max() == 0.0:
         return M.real.copy()
     return M
@@ -91,11 +98,11 @@ A0P = 0.05
 
 
 def dense_leading(M):
-    """(lam, v, rho_2): the eigenvalue of largest modulus of M, its unit
-    eigenvector and the second-largest eigenvalue modulus, from one dense
-    LAPACK solve.  For a real M the pair comes back real, so a complex leading
-    pair fails the residual check; NoConvergence when ||M v - lam v|| exceeds
-    RESIDUAL_TOL * |lam|."""
+    """(lam, v, rho_2, residual): the eigenvalue of largest modulus of M, its
+    unit eigenvector, the second-largest eigenvalue modulus and the relative
+    residual ||M v - lam v|| / |lam|, from one dense LAPACK solve.  For a real
+    M the pair comes back real, so a complex leading pair fails the residual
+    check; NoConvergence when the residual exceeds RESIDUAL_TOL."""
     w, V = np.linalg.eig(M)
     order = np.argsort(np.abs(w))
     lam, v = w[order[-1]], V[:, order[-1]]
@@ -104,7 +111,7 @@ def dense_leading(M):
     residual = float(np.linalg.norm(M @ v - lam * v))
     if not residual <= RESIDUAL_TOL * abs(lam):
         raise NoConvergence(f"leading eigenpair residual {residual:.3e} exceeds {RESIDUAL_TOL:g} * |lambda|")
-    return lam, v, float(abs(w[order[-2]]))
+    return lam, v, float(abs(w[order[-2]])), residual / abs(lam)
 
 
 @dataclass
@@ -116,6 +123,7 @@ class RpfSolution:
     h: np.ndarray        # (N, m) positive eigenfunction values
     nu: np.ndarray       # (N, m) nonnegative quadrature weights, total mass 1
     gap: float           # |second eigenvalue| / lam
+    residual: float      # ||M h - lam h|| / lam of the collocation eigenpair
 
 
 def critical_exponent(model, grid, max_iter=200):
@@ -153,8 +161,8 @@ def rpf_solve(model, grid, a, delta=None):
     if delta is None:
         delta = critical_exponent(model, grid)
     M = assemble_transfer(model, grid, -(delta + a))
-    lam, h, rho2 = dense_leading(M)
-    _, nu, _ = dense_leading(M.T)
+    lam, h, rho2, residual = dense_leading(M)
+    nu = dense_leading(M.T)[1]
     if h.sum() < 0:
         h = -h
     if nu.sum() < 0:
@@ -162,7 +170,8 @@ def rpf_solve(model, grid, a, delta=None):
     nu = nu / nu.sum()
     h = h / (nu @ h)
     m = grid.m
-    return RpfSolution(a, float(lam), h.reshape(model.N, m), nu.reshape(model.N, m), rho2 / lam)
+    return RpfSolution(a, float(lam), h.reshape(model.N, m), nu.reshape(model.N, m), rho2 / lam,
+                       residual)
 
 
 class NormalizedPotential:
@@ -178,25 +187,28 @@ class NormalizedPotential:
         self.h0 = h0
 
     def logh0_at(self, j, x):
-        scalar = np.asarray(x).ndim == 0
-        vals = np.log(self.grid.interp(j, self.h0[j], x))
-        return float(vals[0]) if scalar else vals
+        """log h0 at points x of U_j; j is one symbol or one per point.  Each
+        symbol's points are interpolated as one batch, in point order: BLAS may
+        round a row differently in batches of different sizes, and these are the
+        batches the prepend walk has always used."""
+        x = np.asarray(x, dtype=float)
+        if np.ndim(j) == 0:
+            return np.log(self.grid.interp(j, self.h0[j], x)).reshape(x.shape)[()]
+        out = np.empty(x.shape)
+        for s in np.flatnonzero(np.bincount(j)):
+            sel = j == s
+            out[sel] = self.logh0_at(s, x[sel])
+        return out
 
     def f_from_parts(self, tau, logh_v, logh_parent):
         return -(self.a + self.delta) * tau + logh_v - logh_parent - self.loglam
 
     def f_step(self, j, k, v, parent=None):
-        """f^(a) on the branch (j, k) at points v = sigma^{-(j,k)}(parent)."""
+        """f^(a) on the branches (j, k) at points v = sigma^{-(j,k)}(parent); j
+        and k are one symbol or one per point."""
         if parent is None:
             parent = self.model.forward(j, v)
         return self.f_from_parts(self.model.tau(j, v), self.logh0_at(j, v), self.logh0_at(k, parent))
-
-    def f_at_point(self, x, px=None):
-        """One-step f^(a) at a symbolic point (pair (x_0, x_1) evaluated at zeta(x))."""
-        j, k = x.symbol(0), x.symbol(1)
-        if px is None:
-            px = symbolic.eval_point(self.model, x)
-        return float(self.f_step(j, k, np.atleast_1d(px))[0])
 
 
 @dataclass
@@ -276,39 +288,27 @@ class ThermoLab:
         pots = {a: self.potential(a) for a in a_samples}
 
         # A_f: difference quotient of f^(a) against f^(0) over all branch nodes
-        ratio = 0.0
-        f_sup = 0.0
-        for a in a_samples:
-            for k in range(model.N):
-                u = grid.nodes[k]
-                for j in range(model.N):
-                    if not model.admissible(j, k):
-                        continue
-                    v = model.inv_branch(j, u)
-                    fa = pots[a].f_step(j, k, v, u)
-                    f_sup = max(f_sup, np.abs(fa).max())
-                    if a != 0.0:
-                        f0 = pots[0.0].f_step(j, k, v, u)
-                        ratio = max(ratio, np.abs(fa - f0).max() / abs(a))
-        A_f = 1.05 * ratio
+        k, _, j, u = grid.branches
+        v = model.inv_branch(j, u)
+        f = {a: pots[a].f_step(j, k, v, u) for a in a_samples}
+        f_sup = max(np.abs(fa).max() for fa in f.values())
+        A_f = 1.05 * max(np.abs(f[a] - f[0.0]).max() / abs(a) for a in a_samples if a != 0.0)
 
         # T0 and C_theta: empirical d_theta difference quotients of tau and f^(a)
+        # over sampled pairs (x, y), stored interleaved x, y, x, y, ...
         rng = np.random.default_rng(0)
         pairs = lip_quotient_pairs(model, rng, depths=range(0, 9), samples_per_depth=60)
-        t0 = 1.0
-        c_theta = 0.0
-        for m_agree, x, y in pairs:
-            scale = self.theta**m_agree
-            px = symbolic.eval_point(model, x)
-            py = symbolic.eval_point(model, y)
-            c_theta = max(c_theta, abs(px - py) / scale)
-            tx = float(model.tau(x.symbol(0), px))
-            ty = float(model.tau(y.symbol(0), py))
-            t0 = max(t0, abs(tx - ty) / scale)
-            for a in a_samples:
-                fx = pots[a].f_at_point(x, px)
-                fy = pots[a].f_at_point(y, py)
-                t0 = max(t0, abs(fx - fy) / scale)
+        scale = np.array([self.theta**m_agree for m_agree, _, _ in pairs])
+        pts = [p for _, x, y in pairs for p in (x, y)]
+        px = np.array([symbolic.eval_point(model, p) for p in pts])
+        s0, s1 = np.array([p.symbols(2) for p in pts]).T
+
+        def quotient(vals):
+            return np.max(np.abs(vals[0::2] - vals[1::2]) / scale)
+
+        c_theta = float(quotient(px))
+        t0 = max(1.0, quotient(model.tau(s0, px)),
+                 *(quotient(pots[a].f_step(s0, s1, px)) for a in a_samples))
         T0 = 1.25 * max(t0, f_sup)
         C_f = float(np.exp(A_f * A0P))
         return PotentialConstants(
@@ -375,14 +375,11 @@ class Walk:
         self.pot = pot
         self.sym = np.asarray(sym)
         self.v = np.asarray(v, dtype=float)
-        self.logh = np.empty(self.v.size)
-        for k in np.unique(self.sym):
-            sel = self.sym == k
-            self.logh[sel] = pot.logh0_at(k, self.v[sel])
+        self.logh = pot.logh0_at(self.sym, self.v)
         self.f = np.zeros(self.v.size)
         self.tau = np.zeros(self.v.size)
         self.cidx = None if group is None else np.full(self.v.size, group.identity)
-        self.perms = None if group is None else [group.left_mul_perm(group.reduce(g)) for g in model.gens]
+        self.perms = None if group is None else np.array([group.left_mul_perm(group.reduce(g)) for g in model.gens])
 
     @classmethod
     def from_point(cls, model, pot, x, group=None):
@@ -394,25 +391,26 @@ class Walk:
 
     def step(self, symbols):
         """Prepend each admissible symbol from `symbols` to every current leaf;
-        returns the parent index of each new leaf."""
+        returns the parent index of each new leaf.  On EnumerationTooLarge or
+        InadmissibleWord the walk is left as it was."""
         model, pot = self.model, self.pot
-        parts = []
-        for j in symbols:
-            mask = np.flatnonzero(model.T[j, self.sym])
-            if mask.size == 0:
-                continue
-            v2 = model.inv_branch(j, self.v[mask])
-            tau2 = model.tau(j, v2)
-            logh2 = pot.logh0_at(j, v2)
-            f2 = self.f[mask] + pot.f_from_parts(tau2, logh2, self.logh[mask])
-            parts.append((j, mask, v2, logh2, f2, self.tau[mask] + tau2))
-        if not parts:
+        symbols = np.asarray(symbols)
+        admissible = model.T[symbols][:, self.sym]
+        n = np.count_nonzero(admissible)
+        if n == 0:
             raise InadmissibleWord("no admissible continuation for the requested symbols")
-        parents = np.concatenate([p[1] for p in parts])
-        if self.cidx is not None:
-            self.cidx = np.concatenate([self.perms[j][self.cidx[mask]] for j, mask, *_ in parts])
-        self.sym = np.concatenate([np.full(p[1].size, p[0]) for p in parts])
-        self.v, self.logh, self.f, self.tau = (np.concatenate([p[i] for p in parts]) for i in range(2, 6))
-        if self.size() > MAX_LEAVES:
+        if n > MAX_LEAVES:
             raise EnumerationTooLarge(f"word enumeration grew past {MAX_LEAVES} leaves")
+        row, parents = np.nonzero(admissible)
+        sym = symbols[row]
+        # a lone symbol goes to the evaluators as a scalar: the tail steps of
+        # the approximating measures are many and small, and skip the grouping
+        j = symbols[0] if symbols.size == 1 else sym
+        v = model.inv_branch(j, self.v[parents])
+        tau = model.tau(j, v)
+        logh = pot.logh0_at(j, v)
+        if self.cidx is not None:
+            self.cidx = self.perms[j, self.cidx[parents]]
+        self.f = self.f[parents] + pot.f_from_parts(tau, logh, self.logh[parents])
+        self.sym, self.v, self.logh, self.tau = sym, v, logh, self.tau[parents] + tau
         return parents

@@ -291,3 +291,81 @@ def closure_size_bfs(mats, q):
         frontier = prod[first[new]]
         size += int(new.sum())
     return size
+
+
+def walk_step_per_symbol(walk, symbols):
+    """One prepend step of a thermo.Walk as a loop over the prepended symbols:
+    each symbol pulls back the leaves it may precede as its own batch, and the
+    batches are concatenated in symbol order.  A regression oracle for
+    Walk.step; like the step it replaces, it rebinds the walk's arrays."""
+    from thinlab.errors import InadmissibleWord
+
+    model, pot = walk.model, walk.pot
+    parts = []
+    for j in symbols:
+        mask = np.flatnonzero(model.T[j, walk.sym])
+        if mask.size == 0:
+            continue
+        v2 = model.inv_branch(j, walk.v[mask])
+        tau2 = model.tau(j, v2)
+        logh2 = pot.logh0_at(j, v2)
+        f2 = walk.f[mask] + pot.f_from_parts(tau2, logh2, walk.logh[mask])
+        parts.append((j, mask, v2, logh2, f2, walk.tau[mask] + tau2))
+    if not parts:
+        raise InadmissibleWord("no admissible continuation for the requested symbols")
+    parents = np.concatenate([p[1] for p in parts])
+    if walk.cidx is not None:
+        walk.cidx = np.concatenate([walk.perms[j][walk.cidx[mask]] for j, mask, *_ in parts])
+    walk.sym = np.concatenate([np.full(p[1].size, p[0]) for p in parts])
+    walk.v, walk.logh, walk.f, walk.tau = (np.concatenate([p[i] for p in parts]) for i in range(2, 6))
+    return parents
+
+
+def measure_constants_per_point(lab):
+    """(theta, C_theta, T0, A_f, C_f) measured branch by branch and pair by
+    pair: f^(a) on each admissible branch (j, k) at the nodes of U_k, then at
+    each sampled symbolic point on its own.  A regression oracle for
+    ThermoLab.constants, which measures all branches and points at once."""
+    from thinlab import symbolic
+    from thinlab.thermo import A0P
+
+    model, grid = lab.model, lab.grid
+    a_samples = [0.0, 0.01, -0.01, 0.04, -0.04, 0.8 * A0P, -0.8 * A0P]
+    a_samples = sorted({round(a, 12) for a in a_samples if abs(a) < A0P})
+    pots = {a: lab.potential(a) for a in a_samples}
+
+    def f_at(pot, x, px):
+        return float(pot.f_step(x.symbol(0), x.symbol(1), np.atleast_1d(px))[0])
+
+    ratio = 0.0
+    f_sup = 0.0
+    for a in a_samples:
+        for k in range(model.N):
+            u = grid.nodes[k]
+            for j in range(model.N):
+                if not model.admissible(j, k):
+                    continue
+                v = model.inv_branch(j, u)
+                fa = pots[a].f_step(j, k, v, u)
+                f_sup = max(f_sup, np.abs(fa).max())
+                if a != 0.0:
+                    f0 = pots[0.0].f_step(j, k, v, u)
+                    ratio = max(ratio, np.abs(fa - f0).max() / abs(a))
+    A_f = 1.05 * ratio
+
+    rng = np.random.default_rng(0)
+    pairs = symbolic.lip_quotient_pairs(model, rng, depths=range(0, 9), samples_per_depth=60)
+    t0 = 1.0
+    c_theta = 0.0
+    for m_agree, x, y in pairs:
+        scale = lab.theta**m_agree
+        px = symbolic.eval_point(model, x)
+        py = symbolic.eval_point(model, y)
+        c_theta = max(c_theta, abs(px - py) / scale)
+        tx = float(model.tau(x.symbol(0), px))
+        ty = float(model.tau(y.symbol(0), py))
+        t0 = max(t0, abs(tx - ty) / scale)
+        for a in a_samples:
+            t0 = max(t0, abs(f_at(pots[a], x, px) - f_at(pots[a], y, py)) / scale)
+    T0 = 1.25 * max(t0, f_sup)
+    return lab.theta, 1.05 * c_theta, T0, A_f, float(np.exp(A_f * A0P))

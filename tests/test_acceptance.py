@@ -132,7 +132,7 @@ def _criterion3_body(acc):
         MH = op.apply(H.values)
         scale = np.abs(H.values).max()
         for d in (3, 5, 15):
-            He = CongruenceFunction(depth, H.words, g15, dec.project_new(d, H.values))
+            He = CongruenceFunction(depth, H.words, dec.project_new(d, H.values))
             MHe = op.apply(He.values)
             comm = np.abs(dec.project_new(d, MH) - MHe).max() / scale
             worst["comm"] = max(worst["comm"], comm)
@@ -142,7 +142,7 @@ def _criterion3_body(acc):
                 worst["equiv"] = max(worst["equiv"], equiv)
             # norm scaling through the projection
             _, masses = lab.cylinder_masses(depth)
-            Hd2 = CongruenceFunction(depth, H.words, dec.subgroups[d], dec.proj_down(d, He.values))
+            Hd2 = CongruenceFunction(depth, H.words, dec.proj_down(d, He.values))
             n_up = cf_l2_norm(He, masses)
             n_dn = cf_l2_norm(Hd2, masses)
             if n_up > 0:

@@ -42,7 +42,17 @@ def test_delta_json(config, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert 0.32 < payload["delta"] < 0.33
     assert payload["residual"] < 1e-10
+    assert payload["discretization"] < 1e-12
     assert _artifacts(out, "delta")
+
+
+def test_delta_discretization_shows_a_coarse_degree(config, tmp_path, capsys):
+    # at degree 1 the eigenpair still solves its 4 x 4 matrix to rounding, but
+    # delta is 6.6e-3 away from its degree-2 value
+    assert main(["delta", "--config", config, "--degree", "1", "--out", str(tmp_path / "out")]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["residual"] < 1e-10
+    assert 5e-3 < payload["discretization"] < 1e-2
 
 
 def test_rpf_artifact(config, tmp_path, capsys):

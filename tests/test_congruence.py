@@ -248,14 +248,14 @@ def test_commutation_and_equivariance(model, lab, groups):
         MH = op.apply(H.values)
         for d in (3, 5, 15):
             left = dec.project_new(d, MH)
-            He = CongruenceFunction(4, H.words, g, dec.project_new(d, H.values))
+            He = CongruenceFunction(4, H.words, dec.project_new(d, H.values))
             right = op.apply(He.values)
             scale = max(1.0, np.abs(H.values).max())
             assert np.abs(left - right).max() <= 1e-9 * scale
             if d < 15:
                 sub = dec.subgroups[d]
-                down = CongruenceFunction(4, H.words, sub, dec.proj_down(d, right))
-                Hd = CongruenceFunction(4, H.words, sub, dec.proj_down(d, He.values))
+                down = CongruenceFunction(4, H.words, dec.proj_down(d, right))
+                Hd = CongruenceFunction(4, H.words, dec.proj_down(d, He.values))
                 Md = cg.CongruenceOperator(lab, sub, xi.imag, 4, a=xi.real).apply(Hd.values)
                 assert np.abs(down.values - Md).max() <= 1e-9 * scale
 
@@ -284,13 +284,13 @@ def test_pythagoras_across_decomposition(model, lab, groups):
     H = CongruenceFunction.random(model, g, 4, rng)
     H.values -= H.values.mean(axis=1, keepdims=True)
     op = cg.CongruenceOperator(lab, g, xi.imag, 4, a=xi.real)
-    Mk = CongruenceFunction(4, H.words, g, op.apply_k(H.values, 2))
+    Mk = CongruenceFunction(4, H.words, op.apply_k(H.values, 2))
     total = cg.cf_l2_norm(Mk, masses) ** 2
     parts = 0.0
     for d in (3, 5, 15):
         e_part = dec.project_new(d, Mk.values)
         down = dec.proj_down(d, e_part)
-        piece = CongruenceFunction(4, H.words, dec.subgroups[d], down)
+        piece = CongruenceFunction(4, H.words, down)
         parts += dec.spade(d) * cg.cf_l2_norm(piece, masses) ** 2
     assert abs(total - parts) <= 1e-8 * total
 

@@ -162,7 +162,7 @@ def test_monotone_norm_chain(model, lab, groups, consts):
     prev = cf_l2_norm(H, masses)
     for _ in range(10):
         vals = op.apply(vals)
-        cur = cf_l2_norm(CongruenceFunction(5, H.words, g5, vals), masses)
+        cur = cf_l2_norm(CongruenceFunction(5, H.words, vals), masses)
         assert cur <= bound * prev
         prev = cur
 

@@ -133,6 +133,12 @@ def test_birkhoff_inadmissible(lab):
         birkhoff(lab.potential(0.0), (2,), x)
 
 
+def test_birkhoff_inadmissible_point(lab):
+    x = sym.SymbolicPoint((0, 2), (1,))  # the word may precede 0, but 0 -> 2 is forbidden
+    with pytest.raises(InadmissibleWord):
+        birkhoff(lab.potential(0.0), (1,), x)
+
+
 def test_normalized_mass_is_one(lab):
     for x in (sym.point((0,), (1,)), sym.point((), (2, 3)), sym.point((1, 2), (3,))):
         for k in (1, 2, 4, 6):

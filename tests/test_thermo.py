@@ -1,12 +1,17 @@
+import copy
+
 import numpy as np
 import pytest
 
 from thinlab import CollocationGrid, ThermoLab, assemble_transfer, rpf_solve
 from thinlab import symbolic as sym
-from thinlab.errors import NoConvergence
-from thinlab.thermo import critical_exponent, dense_leading
+from thinlab import thermo
+from thinlab.errors import EnumerationTooLarge, NoConvergence
+from thinlab.thermo import Walk, critical_exponent, dense_leading
 
-from oracles import refinement_dimension
+from oracles import measure_constants_per_point, refinement_dimension, walk_step_per_symbol
+
+WALK_ARRAYS = ("sym", "v", "logh", "f", "tau", "cidx")
 
 
 def test_grid_polynomial_exactness(model):
@@ -233,3 +238,44 @@ def test_pressure_consistency(model, lab):
         Mn = assemble_transfer(model, lab.grid, complex(a, 0.0), normalized=True, potential=pot)
         eig = np.abs(np.linalg.eigvals(Mn)).max()
         assert abs(np.log(raw) - (np.log(eig) + np.log(lab.rpf(a).lam))) <= 1e-9
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("q", [None, 5])
+def test_walk_step_matches_per_symbol_loop(model, lab, groups, q):
+    group = None if q is None else groups(q)
+    plans = [[range(model.N)] * 5,
+             [range(model.N)] * 2 + [[s] for s in (0, 1, 1, 2, 3, 3, 0)] + [[0, 2]]]
+    for plan in plans:
+        walk = Walk.from_point(model, lab.potential(0.02), sym.point((0, 1), (2,)), group)
+        old = copy.copy(walk)
+        for symbols in plan:
+            assert _same_bits(walk.step(symbols), walk_step_per_symbol(old, symbols))
+            for name in WALK_ARRAYS:
+                assert _same_bits(getattr(walk, name), getattr(old, name)), (plan, symbols, name)
+
+
+@pytest.mark.parametrize("degree", [8, 16])
+def test_constants_match_per_point_measurement(model, lab, degree):
+    lab = lab if degree == lab.grid.m else ThermoLab(model, degree=degree)
+    c = lab.constants()
+    assert (c.theta, c.C_theta, c.T0, c.A_f, c.C_f) == measure_constants_per_point(lab)
+
+
+def test_walk_step_too_large_leaves_walk_untouched(model, lab, groups, monkeypatch):
+    walk = Walk.from_point(model, lab.potential(0.0), sym.point((0,), (1,)), groups(5))
+    for _ in range(4):
+        walk.step(range(model.N))  # 81 leaves; the next step makes 243
+    before = {name: getattr(walk, name) for name in WALK_ARRAYS}
+    saved = {name: arr.copy() for name, arr in before.items()}
+    monkeypatch.setattr(thermo, "MAX_LEAVES", 100)
+    with pytest.raises(EnumerationTooLarge):
+        walk.step(range(model.N))
+    for name in WALK_ARRAYS:
+        assert getattr(walk, name) is before[name]
+        assert _same_bits(before[name], saved[name])
