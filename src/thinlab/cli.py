@@ -6,10 +6,9 @@ identical configs and seeds reproduce them byte for byte.  Floats print with
 17 significant digits.
 
 Every eigenvalue a subcommand prints comes from a dense LAPACK solve (the
-pressure root delta, the RPF data and gap, the twisted radius) or from one
-Lanczos solve (Cayley gaps, convolution norms above expander.SVD_ORDER).
-Eigenpairs are residual-checked; a failed check or an unconverged solve exits
-with EXIT_NUMERICAL.
+pressure root delta, the RPF data and gap, the twisted radius, convolution
+norms) or from one Lanczos solve (Cayley gaps).  Each is residual-checked; a
+failed check or an unconverged solve exits with EXIT_NUMERICAL.
 """
 
 import argparse

@@ -73,6 +73,7 @@ class GroupModQ:
         self.keys = keys[sort]
         self.order = elems.shape[0]
         self._inv_perm = None
+        self._coset_table = None
         self._perm_cache = {}
         self.identity = int(self.index_of(np.array([1, 0, 0, 1], dtype=np.int64)))
 
@@ -120,6 +121,22 @@ class GroupModQ:
             inv = np.stack([e[:, 3], -e[:, 1], -e[:, 2], e[:, 0]], axis=1) % self.q
             self._inv_perm = self.index_of(inv)
         return self._inv_perm
+
+    def coset_table(self):
+        """T[t, j, i] = index of k_j^{-1} c^t k_i (cached) for c = [[-1, -1], [0, -1]] of order
+        o, k_0 = e (the smallest element of <c>) and k_1 < k_2 < ... the smallest of the
+        other cosets <c> g, so T[:, 0, :] indexes c^t k_i.  Built one t at a time."""
+        if self._coset_table is None:
+            left_c = self.left_mul_perm(self.index_of(np.array([-1, -1, 0, -1])))
+            orbit = [np.arange(self.order)]  # orbit[t][g] = index of c^t g
+            while left_c[orbit[-1][0]] != 0:  # until c^{t+1} = e
+                orbit.append(left_c[orbit[-1]])
+            reps = np.flatnonzero(np.min(orbit, axis=0) == orbit[0])
+            reps = np.concatenate([[self.identity], reps[reps != self.identity]])
+            k_inv = self.elems[self.inv_perm()[reps]][:, None, :]
+            self._coset_table = np.stack([self.index_of(self._compose(k_inv, self.elems[row[reps]][None]))
+                                          for row in orbit])
+        return self._coset_table
 
     def _perm_cache_cap(self):
         # keep the cache under ~200 MB regardless of group size
@@ -360,10 +377,14 @@ class NewSpaceDecomposition:
         return sum(_moebius(d // e) * self.subgroups[e].order for e in _divisors(d))
 
     def _fiber_means(self, d, arr):
-        lab = self.labels[d]
         nd = self.subgroups[d].order
-        sums = np.zeros(arr.shape[:-1] + (nd,), dtype=arr.dtype)
-        np.add.at(sums, (Ellipsis, lab), arr)
+        rows = arr.size // arr.shape[-1]
+        # one bin per (row, fiber), summed in index order from 0.0 as np.add.at does
+        bins = (np.arange(rows)[:, None] * nd + self.labels[d]).ravel()
+        sums = np.empty(arr.shape[:-1] + (nd,), dtype=arr.dtype)
+        sums.real = np.bincount(bins, arr.real.ravel(), rows * nd).reshape(sums.shape)
+        if np.iscomplexobj(arr):
+            sums.imag = np.bincount(bins, arr.imag.ravel(), rows * nd).reshape(sums.shape)
         return sums / self.counts[d]
 
     def average(self, d, phi):

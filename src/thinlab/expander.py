@@ -19,7 +19,7 @@ from .errors import DepthExhausted, EnumerationTooLarge, GroupTooSmall, ModulusM
 from .symbolic import SymbolicPoint, all_words, enumerate_words, omega_tail
 from .thermo import RESIDUAL_TOL, Walk
 
-SVD_ORDER = 2000
+SVD_ORDER = 336           # |SL2(Z/7)|, the largest order criterion 7 runs dense
 LANCZOS_TOL = 1e-12
 RETURN_SET_CAP = 200_000  # word pairs of one return set
 P_MAX = 4                 # highest return level detect_expansion tries
@@ -305,11 +305,14 @@ def approx_transfer_check(lab, group, H, xi, r, s):
 
 # ---- operator norms of convolution operators on subspaces ----
 
-def conv_opnorm(group, weights, projector, svd_cap=SVD_ORDER, seed=0):
-    """Operator norm of phi -> weights * phi restricted to the range of `projector`.
-
-    Dense SVD up to svd_cap; above it, the square root of the top eigenvalue of
-    the Hermitian P mu~* mu P by Lanczos.
+def conv_opnorm(group, weights, projector, svd_cap=SVD_ORDER):
+    """Operator norm of phi -> weights * phi restricted to the range of `projector`,
+    which must commute with translations (the mean-zero and new-space projectors
+    average over normal subgroups), so that the operator is phi -> P(weights) * phi.
+    Dense SVD up to svd_cap.  Above it, the operator commutes with left translation
+    by the c of group.coset_table(); the Fourier transform over <c> splits it into
+    m x m blocks, whose largest singular value is the norm.  Lifted to the group,
+    its singular vector must attain the norm, else NoConvergence.
     """
     n = group.order
     if n <= svd_cap:
@@ -317,13 +320,21 @@ def conv_opnorm(group, weights, projector, svd_cap=SVD_ORDER, seed=0):
         # projecting the rows right-multiplies by the (symmetric) projector matrix
         MP = projector(M)
         return float(np.linalg.svd(MP, compute_uv=False)[0])
-    star = np.conj(weights[group.inv_perm()])
-
-    def gram(v):
-        return projector(group.convolve_fn(star, group.convolve_fn(weights, projector(v))))
-
-    lam = float(_lanczos_top(gram, n, 1, complex, seed)[0])
-    return float(np.sqrt(max(lam, 0.0)))
+    table = group.coset_table()
+    o = table.shape[0]
+    # F[chi, j, i] is the (i, j) entry of the block of character chi
+    F = projector(weights)[table]
+    np.fft.fft(F, axis=0, out=F)
+    chi = int(np.argmax(np.linalg.svd(F, compute_uv=False)[:, 0]))
+    u, sv, _ = np.linalg.svd(F[chi])
+    del F  # before convolve_fn fills the permutation cache
+    sigma = float(sv[0])
+    phi = np.empty(n, dtype=complex)
+    phi[table[:, 0, :]] = np.exp(2j * np.pi * chi * np.arange(o) / o)[:, None] * np.conj(u[:, 0]) / np.sqrt(o)
+    attained = float(np.linalg.norm(projector(group.convolve_fn(weights, phi))))
+    if not abs(attained - sigma) <= RESIDUAL_TOL * sigma:
+        raise NoConvergence(f"block singular vector attains {attained:.17g}, not the block norm {sigma:.17g}")
+    return sigma
 
 
 # ---- flattening pipeline ----
@@ -428,8 +439,7 @@ def flattening_pipeline(lab, group, x, r_prime, l, p, xi=0.3j, gaps=None, seed=0
         deficit = eps**2 / (2.0 * C0_flat**2 * model.N ** (2 * p))
         deficit_min = min(deficit_min, deficit)
         c_bound = float(np.sqrt(max(0.0, 1.0 - deficit)))
-        c_meas = conv_opnorm(group, eta.astype(complex), mean_zero_projector, svd_cap=svd_cap,
-                             seed=seed) / l1
+        c_meas = conv_opnorm(group, eta.astype(complex), mean_zero_projector, svd_cap=svd_cap) / l1
         c_meas_worst = max(c_meas_worst, c_meas)
         c_bound_worst = max(c_bound_worst, c_bound)
     entries["eta_contraction"] = {
@@ -439,8 +449,8 @@ def flattening_pipeline(lab, group, x, r_prime, l, p, xi=0.3j, gaps=None, seed=0
     values["eta_bound_deficit"] = float(deficit_min)
 
     # r-step contraction of nu0 on mean-zero vectors
-    ratio_nu = conv_opnorm(group, nu0.weights.astype(complex), mean_zero_projector, svd_cap=svd_cap,
-                           seed=seed) / nu0.l1()
+    ratio_nu = conv_opnorm(group, nu0.weights.astype(complex), mean_zero_projector,
+                           svd_cap=svd_cap) / nu0.l1()
     C3 = -np.log(c_bound_worst) if c_bound_worst > 0 else np.inf
     C_walk = float(np.exp((2 * C_est * theta**l - C3) / l))
     entries["walk_contraction"] = {"ratio": ratio_nu, "bound": C_walk**r, "passed": ratio_nu <= C_walk**r}
@@ -448,7 +458,7 @@ def flattening_pipeline(lab, group, x, r_prime, l, p, xi=0.3j, gaps=None, seed=0
 
     # new-space operator norm of mu against sqrt(#F) ||mu||_2
     proj_new = new_space_projector(group)
-    opnorm_new = conv_opnorm(group, mu.weights, proj_new, svd_cap=svd_cap, seed=seed)
+    opnorm_new = conv_opnorm(group, mu.weights, proj_new, svd_cap=svd_cap)
     trivial = float(np.sqrt(group.order) * mu.l2())
     entries["new_space_opnorm"] = {
         "ratio": opnorm_new / trivial if trivial > 0 else 0.0, "bound": 1.0,

@@ -369,3 +369,19 @@ def measure_constants_per_point(lab):
             t0 = max(t0, abs(f_at(pots[a], x, px) - f_at(pots[a], y, py)) / scale)
     T0 = 1.25 * max(t0, f_sup)
     return lab.theta, 1.05 * c_theta, T0, A_f, float(np.exp(A_f * A0P))
+
+
+def conv_opnorm_lanczos(group, weights, projector, seed=0):
+    """Operator norm of phi -> weights * phi on the range of `projector`, as the
+    square root of the top eigenvalue of the Hermitian P mu~* mu P from one
+    Lanczos solve of group convolutions.  An oracle for the block SVDs of
+    expander.conv_opnorm, which use neither the Gram operator nor Lanczos."""
+    from thinlab.expander import _lanczos_top
+
+    star = np.conj(weights[group.inv_perm()])
+
+    def gram(v):
+        return projector(group.convolve_fn(star, group.convolve_fn(weights, projector(v))))
+
+    lam = float(_lanczos_top(gram, group.order, 1, complex, seed)[0])
+    return float(np.sqrt(max(lam, 0.0)))

@@ -168,6 +168,22 @@ def test_prime_decomposition_is_mean_zero(groups):
     assert np.abs(new - (phi - phi.mean())).max() <= 1e-12
 
 
+def test_fiber_means_match_add_at(groups):
+    """The bincount fiber sums are bitwise those of np.add.at, on 96 x order
+    batches, real input, one vector and a 3-d batch."""
+    g = groups(15)
+    dec = NewSpaceDecomposition(g)
+    rng = np.random.default_rng(3)
+    batch = rng.standard_normal((96, g.order)) + 1j * rng.standard_normal((96, g.order))
+    for d in dec.divisors:
+        for arr in (batch, batch.real, batch[0], batch[:6].reshape(2, 3, g.order)):
+            sums = np.zeros(arr.shape[:-1] + (dec.subgroups[d].order,), dtype=arr.dtype)
+            np.add.at(sums, (Ellipsis, dec.labels[d]), arr)
+            want = sums / dec.counts[d]
+            got = dec._fiber_means(d, arr)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_decomposition_dimensions_q15(groups):
     g = groups(15)
     dec = NewSpaceDecomposition(g)

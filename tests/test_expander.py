@@ -27,6 +27,7 @@ from oracles import (
     build_measures_fresh,
     cayley_lambda2_power,
     closure_size_bfs,
+    conv_opnorm_lanczos,
     min_nontrivial_irrep_dim,
     sl2_count_bruteforce,
 )
@@ -309,22 +310,43 @@ def _stalled_eigsh(*args, **kwargs):
     raise scipy.sparse.linalg.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
 
 
-def test_conv_opnorm_iteration_raises_when_unconverged(groups, monkeypatch):
+def test_conv_opnorm_blocks_raise_when_norm_not_attained(groups):
     g13 = groups(13)
     weights = _random_measure(g13, 50, 16)
-    mz = cg.mean_zero_projector
-    assert 0.0 < ex.conv_opnorm(g13, weights, mz, svd_cap=0) <= np.abs(weights).sum()
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", _stalled_eigsh)
+    assert 0.0 < ex.conv_opnorm(g13, weights, cg.mean_zero_projector, svd_cap=0) <= np.abs(weights).sum()
+
+    def zero_first(phi):  # a projector that does not commute with translations
+        out = np.array(phi, dtype=complex)
+        out[..., 0] = 0.0
+        return out
+
     with pytest.raises(NoConvergence):
-        ex.conv_opnorm(g13, weights, mz, svd_cap=0)
+        ex.conv_opnorm(g13, weights, zero_first, svd_cap=0)
 
 
-def test_conv_opnorm_lanczos_matches_dense(groups):
+def test_conv_opnorm_blocks_match_dense(groups):
     g13 = groups(13)
     weights = _random_measure(g13, 50, 16)
-    for proj in (cg.mean_zero_projector, cg.new_space_projector(g13)):
-        dense = ex.conv_opnorm(g13, weights, proj)
-        assert abs(ex.conv_opnorm(g13, weights, proj, svd_cap=0) - dense) <= 1e-10 * dense
+    # at prime q the new-space projector is the mean-zero one
+    assert cg.new_space_projector(g13) is cg.mean_zero_projector
+    dense = ex.conv_opnorm(g13, weights, cg.mean_zero_projector, svd_cap=g13.order)
+    assert abs(ex.conv_opnorm(g13, weights, cg.mean_zero_projector, svd_cap=0) - dense) <= 1e-10 * dense
+
+
+@pytest.mark.parametrize("q", [5, 6, 10, 13, 15])
+def test_conv_opnorm_blocks_match_lanczos_oracle(groups, q):
+    """Block SVDs against the Lanczos solve of P mu~* mu P; c has order q for
+    even q (-1 = 1 mod 2), 2q for odd q, and q = 6, 10, 15 are composite."""
+    g = groups(q)
+    table = g.coset_table()
+    o = q if q % 2 == 0 else 2 * q
+    assert table.shape == (o, g.order // o, g.order // o)
+    for j in range(table.shape[1]):
+        assert np.array_equal(np.sort(table[:, j, :], axis=None), np.arange(g.order))
+    weights = _random_measure(g, 50, q)
+    for proj in (cg.mean_zero_projector, cg.new_space_projector(g)):
+        want = conv_opnorm_lanczos(g, weights, proj)
+        assert abs(ex.conv_opnorm(g, weights, proj, svd_cap=0) - want) <= 1e-12 * want
 
 
 def test_cayley_gap_raises_when_lanczos_fails(model, groups, expansion, monkeypatch):
