@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import congruence, decay, expander, thermo
-from .errors import ConfigParse, NoConvergence, ThinlabError
+from .errors import ConfigParse, NoConvergence, NotGenerating, ThinlabError
 from .schottky import SchottkyData, build_markov_model, validate_schottky
 
 EXIT_OK = 0
@@ -105,12 +105,6 @@ def load_config(path, args):
     return cfg, doc
 
 
-def build_model(doc):
-    """The Markov model of the config's group; raises the first violation of
-    validate_schottky, as `thinlab validate` lists them."""
-    return build_markov_model(SchottkyData.from_json_dict(doc))
-
-
 def write_artifact(out_dir, command, ext, body):
     os.makedirs(out_dir, exist_ok=True)
     stamp = time.strftime("%Y%m%d-%H%M%S")
@@ -146,21 +140,14 @@ def _pmap(fn, items):
         return list(pool.map(fn, items))
 
 
-# ---- subcommands ----
+# ---- subcommands: each returns (printed text, [(command, ext, body), ...]) ----
 
-def cmd_validate(cfg, doc):
-    data = SchottkyData.from_json_dict(doc)
-    report = validate_schottky(data)
-    payload = {"ok": report.ok, "checks": report.checks,
-               "violations": [str(v) for v in report.violations]}
-    print(json.dumps(payload, indent=2))
-    if not report.ok:
-        return EXIT_VALIDATION
-    return EXIT_OK
+def _level(cfg, model, qs):
+    """The return level p: --p, else the smallest that generates mod every q."""
+    return cfg.p if cfg.p is not None else expander.detect_expansion(model, qs)["p"]
 
 
-def cmd_delta(cfg, doc):
-    model = build_model(doc)
+def cmd_delta(cfg, model, args):
     lab = thermo.ThermoLab(model, degree=cfg.degree, theta=cfg.theta)
     sol = lab.rpf(0.0)
     # the pressure root at twice the degree shows how far delta is from converged
@@ -168,118 +155,89 @@ def cmd_delta(cfg, doc):
     payload = {"delta": lab.delta, "gap": sol.gap, "degree": cfg.degree, "residual": sol.residual,
                "discretization": abs(lab.delta - fine)}
     body = json.dumps(payload, indent=2)
-    print(body)
-    write_artifact(cfg.out_dir, "delta", "json", body)
-    return EXIT_OK
+    return body, [("delta", "json", body)]
 
 
-def cmd_rpf(cfg, doc, a):
-    model = build_model(doc)
+def cmd_rpf(cfg, model, args):
     lab = thermo.ThermoLab(model, degree=cfg.degree, theta=cfg.theta)
-    sol = lab.rpf(a)
-    print(json.dumps({"a": fmt(a), "lambda": fmt(sol.lam), "gap": fmt(sol.gap)}, indent=2))
+    sol = lab.rpf(args.a)
+    summary = json.dumps({"a": fmt(args.a), "lambda": fmt(sol.lam), "gap": fmt(sol.gap)}, indent=2)
     rows = []
     for j in range(model.N):
         for i in range(lab.grid.m):
             rows.append([j + 1, i, fmt(lab.grid.nodes[j][i]), fmt(sol.h[j, i]), fmt(sol.nu[j, i])])
-    body = csv_body(["symbol", "node", "x", "h", "nu"], rows)
-    write_artifact(cfg.out_dir, "rpf", "csv", body)
-    return EXIT_OK
+    return summary, [("rpf", "csv", csv_body(["symbol", "node", "x", "h", "nu"], rows))]
 
 
-def cmd_cayley(cfg, doc, p):
-    model = build_model(doc)
+def cmd_cayley(cfg, model, args):
     qs = cfg.q_list or [5, 7, 11, 13]
-    if p is None:
-        det = expander.detect_expansion(model, qs)
-        p = det["p"]
-    S = expander.build_return_set(model, 0, 0, p)
+    S = expander.build_return_set(model, 0, 0, _level(cfg, model, qs))
 
     def one(q):
         group = congruence.GroupModQ.build(q)
         lam1, lam2, eps = expander.cayley_gap(S, group, seed=cfg.seed)
         return [q, fmt(lam1), fmt(lam2), fmt(eps)]
 
-    rows = _pmap(one, qs)
-    body = csv_body(["q", "degree", "lambda2", "epsilon"], rows)
-    print(body, end="")
-    write_artifact(cfg.out_dir, "cayley", "csv", body)
-    return EXIT_OK
+    body = csv_body(["q", "degree", "lambda2", "epsilon"], _pmap(one, qs))
+    return body, [("cayley", "csv", body)]
 
 
-def cmd_flatten(cfg, doc, q, r, l, b):
-    model = build_model(doc)
+def cmd_flatten(cfg, model, args):
+    if len(cfg.q_list) > 1:
+        raise ConfigParse(f"flatten runs one modulus, got q = {cfg.q_list}")
+    q = (cfg.q_list or [15])[0]
     lab = thermo.ThermoLab(model, degree=cfg.degree, theta=cfg.theta)
-    if cfg.p is None:
-        det = expander.detect_expansion(model, [q])
-        p = det["p"]
-    else:
-        p = cfg.p
-    l = l if l is not None else p + 1
-    if r % l != 0 or r // l < 2:
-        raise ConfigParse(f"r = {r} must be a multiple >= 2 of l = {l}")
+    p = _level(cfg, model, [q])
+    l = cfg.l if cfg.l is not None else p + 1
+    if args.r % l != 0 or args.r // l < 2:
+        raise ConfigParse(f"r = {args.r} must be a multiple >= 2 of l = {l}")
     group = congruence.GroupModQ.build(q)
-    x = _base_point(model)
-    report = expander.flattening_pipeline(lab, group, x, r // l, l, p, xi=1j * b, seed=cfg.seed)
+    report = expander.flattening_pipeline(lab, group, _base_point(model), args.r // l, l, p,
+                                          xi=1j * args.b, seed=cfg.seed)
     body = json.dumps(report.to_json_dict(), indent=2)
-    print(body)
-    write_artifact(cfg.out_dir, "flatten", "json", body)
+    artifacts = [("flatten", "json", body)]
     if len(congruence.factorize(q)) <= 3:
         dec = congruence.NewSpaceDecomposition(group)
-        write_artifact(cfg.out_dir, "decomposition", "csv",
-                       congruence.decomposition_table_csv(dec, seed=cfg.seed))
-    return EXIT_OK
+        artifacts.append(("decomposition", "csv", congruence.decomposition_table_csv(dec, seed=cfg.seed)))
+    return body, artifacts
 
 
-def cmd_decay(cfg, doc, a, b):
-    model = build_model(doc)
+def cmd_decay(cfg, model, args):
     lab = thermo.ThermoLab(model, degree=cfg.degree, theta=cfg.theta)
     consts = lab.constants()
     qs = cfg.q_list or [5, 7, 11]
-    if cfg.p is None:
-        det = expander.detect_expansion(model, qs)
-        p = det["p"]
-    else:
-        p = cfg.p
+    p = _level(cfg, model, qs)
     l = cfg.l if cfg.l is not None else p + 1
-    xi = complex(a, b)
     S = expander.build_return_set(model, 0, 0, p)
 
     def one(q):
         group = congruence.GroupModQ.build(q)
+        if not expander.generates_full(S, group)[0]:
+            raise NotGenerating(f"modulus {q} lacks a generating return set")
         sched = decay.make_schedule(q, consts, l=l)
-        return decay.decay_small_b(lab, group, sched, xi, cfg.seed, depth=cfg.depth,
-                                   certificate=expander.generates_full(S, group))
+        return decay.decay_small_b(lab, group, sched, complex(args.a, args.b), cfg.seed, depth=cfg.depth)
 
-    curves = _pmap(one, qs)
     rows = []
     rows_u = []
-    for curve in curves:
+    for curve in _pmap(one, qs):
         for j, nrm, nrm_u, bound in zip(curve.js, curve.norms, curve.norms_uniform, curve.bounds):
             rows.append([curve.q, j, fmt(nrm), fmt(bound)])
             rows_u.append([curve.q, j, fmt(nrm_u), fmt(bound)])
     body = csv_body(["q", "j", "norm", "bound"], rows)
-    print(body, end="")
-    write_artifact(cfg.out_dir, "decay", "csv", body)
-    write_artifact(cfg.out_dir, "decay-uniform", "csv", csv_body(["q", "j", "norm", "bound"], rows_u))
-    return EXIT_OK
+    return body, [("decay", "csv", body), ("decay-uniform", "csv", csv_body(["q", "j", "norm", "bound"], rows_u))]
 
 
-def cmd_twist(cfg, doc, bs):
-    model = build_model(doc)
+def cmd_twist(cfg, model, args):
     lab = thermo.ThermoLab(model, degree=cfg.degree, theta=cfg.theta)
 
     def one(b):
         return [fmt(b), fmt(decay.twisted_radius(lab, b))]
 
-    rows = _pmap(one, bs)
-    body = csv_body(["b", "radius"], rows)
-    print(body, end="")
-    write_artifact(cfg.out_dir, "twist", "csv", body)
-    return EXIT_OK
+    body = csv_body(["b", "radius"], _pmap(one, [float(s) for s in str(args.b).split(",")]))
+    return body, [("twist", "csv", body)]
 
 
-def cmd_report(cfg):
+def cmd_report(cfg, model, args):
     out = cfg.out_dir
     if not os.path.isdir(out):
         raise ConfigParse(f"no artifact directory {out}")
@@ -305,9 +263,7 @@ def cmd_report(cfg):
     if decay_pass:
         merged["uniformity"]["decay_below_bound"] = {str(q): bool(v) for q, v in sorted(decay_pass.items())}
     body = json.dumps(merged, indent=2)
-    print(body)
-    write_artifact(out, "report", "json", body)
-    return EXIT_OK
+    return body, [("report", "json", body)]
 
 
 def _base_point(model):
@@ -326,57 +282,56 @@ def build_parser():
               "p": dict(type=int), "l": dict(type=int),
               "q": dict(help="comma-separated square-free moduli")}
 
-    def command(name, *flags):
-        """A subcommand with --config and the shared flags its cmd_* function reads."""
+    def command(name, run, *flags):
+        """A subcommand running `run`, with --config and the shared flags `run` reads."""
         p = sub.add_parser(name)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="group JSON file")
         for flag in flags:
             p.add_argument("--" + flag, **shared[flag])
         return p
 
-    command("validate")
-    command("delta", "out", "degree")
-    command("rpf", "out", "degree").add_argument("--a", type=float, default=0.0)
-    command("cayley", "out", "seed", "p", "q")
-    p_fl = command("flatten", "out", "degree", "seed", "p", "l", "q")
+    command("validate", None)
+    command("delta", cmd_delta, "out", "degree")
+    command("rpf", cmd_rpf, "out", "degree").add_argument("--a", type=float, default=0.0)
+    command("cayley", cmd_cayley, "out", "seed", "p", "q")
+    p_fl = command("flatten", cmd_flatten, "out", "degree", "seed", "p", "l", "q")
     p_fl.add_argument("--r", type=int, required=True)
     p_fl.add_argument("--b", type=float, default=0.3)
-    p_dec = command("decay", "out", "degree", "depth", "seed", "p", "l", "q")
+    p_dec = command("decay", cmd_decay, "out", "degree", "depth", "seed", "p", "l", "q")
     p_dec.add_argument("--a", type=float, default=0.0)
     p_dec.add_argument("--b", type=float, default=0.0)
-    command("twist", "out", "degree").add_argument("--b", default="5,20,80",
-                                                   help="comma-separated twist frequencies")
+    command("twist", cmd_twist, "out", "degree").add_argument("--b", default="5,20,80",
+                                                              help="comma-separated twist frequencies")
     p_rep = sub.add_parser("report")
+    p_rep.set_defaults(run=cmd_report)
     p_rep.add_argument("--out", default="thinlab-out")
     return ap
 
 
 def main(argv=None):
+    """Run one subcommand: print its text, then write its artifacts in order.  A
+    refusal or failure raised by the subcommand writes nothing."""
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
-            cfg = RunConfig(out_dir=args.out)
-            return cmd_report(cfg)
-        cfg, doc = load_config(args.config, args)
-        cfg.validate()
-        if args.command == "validate":
-            return cmd_validate(cfg, doc)
-        if args.command == "delta":
-            return cmd_delta(cfg, doc)
-        if args.command == "rpf":
-            return cmd_rpf(cfg, doc, args.a)
-        if args.command == "cayley":
-            return cmd_cayley(cfg, doc, cfg.p)
-        if args.command == "flatten":
-            if len(cfg.q_list) > 1:
-                raise ConfigParse(f"flatten runs one modulus, got q = {cfg.q_list}")
-            return cmd_flatten(cfg, doc, (cfg.q_list or [15])[0], args.r, cfg.l, args.b)
-        if args.command == "decay":
-            return cmd_decay(cfg, doc, args.a, args.b)
-        if args.command == "twist":
-            bs = [float(s) for s in str(args.b).split(",")]
-            return cmd_twist(cfg, doc, bs)
-        raise ConfigParse(f"unknown command {args.command}")
+            cfg, model = RunConfig(out_dir=args.out), None
+        else:
+            cfg, doc = load_config(args.config, args)
+            cfg.validate()
+            data = SchottkyData.from_json_dict(doc)
+            if args.command == "validate":
+                report = validate_schottky(data)
+                print(json.dumps({"ok": report.ok, "checks": report.checks,
+                                  "violations": [str(v) for v in report.violations]}, indent=2))
+                return EXIT_OK if report.ok else EXIT_VALIDATION
+            # raises the first violation of validate_schottky, as `thinlab validate` lists them
+            model = build_markov_model(data)
+        text, artifacts = args.run(cfg, model, args)
+        print(text.rstrip("\n"))  # CSV bodies end in a newline, JSON bodies do not
+        for command, ext, body in artifacts:
+            write_artifact(cfg.out_dir, command, ext, body)
+        return EXIT_OK
     except NoConvergence as exc:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -2,10 +2,10 @@
 operators on depth-D cylinders, and the new-vector decomposition.
 
 Fibers are stored dense, indexed by the canonical (sorted-key) element order of
-GroupModQ.  The fiber action of a branch step is the right-regular action of
-the inverse cocycle matrix, i.e. convolution with the delta at the reduced
-cocycle: (delta_c * phi)(g) = phi(g c^{-1}).  q = 1 is a sentinel with a
-one-element group, so scalar and congruence code paths coincide.
+GroupModQ.  The fiber action of a branch step is GroupModQ.act: convolution
+with the delta at the reduced cocycle, (delta_c * phi)(g) = phi(g c^{-1}).
+q = 1 is a sentinel with a one-element group, so scalar and congruence code
+paths coincide.
 """
 
 from dataclasses import dataclass
@@ -18,6 +18,7 @@ from .thermo import Walk
 
 MAX_ORDER = 10**6
 MAX_DECOMP_ORDER = 10**5
+MAX_BLOCK_ENTRIES = 10**8  # coset_table entries, order^2 / o (about 2.4 GB with conv_opnorm's blocks)
 NEW_SPACE_TOL = 1e-9  # relative spread of a fiber that proj_down accepts as constant
 
 
@@ -125,8 +126,13 @@ class GroupModQ:
     def coset_table(self):
         """T[t, j, i] = index of k_j^{-1} c^t k_i (cached) for c = [[-1, -1], [0, -1]] of order
         o, k_0 = e (the smallest element of <c>) and k_1 < k_2 < ... the smallest of the
-        other cosets <c> g, so T[:, 0, :] indexes c^t k_i.  Built one t at a time."""
+        other cosets <c> g, so T[:, 0, :] indexes c^t k_i.  Built one t at a time, after
+        refusing more than MAX_BLOCK_ENTRIES entries with TooLarge."""
         if self._coset_table is None:
+            o = self.q if self.q % 2 == 0 else 2 * self.q  # c has order 2p mod odd p, 2 mod 2
+            if self.order**2 // o > MAX_BLOCK_ENTRIES:
+                raise TooLarge(f"the coset table of SL2(Z/{self.q}) has {self.order**2 // o} entries "
+                               f"> {MAX_BLOCK_ENTRIES}")
             left_c = self.left_mul_perm(self.index_of(np.array([-1, -1, 0, -1])))
             orbit = [np.arange(self.order)]  # orbit[t][g] = index of c^t g
             while left_c[orbit[-1][0]] != 0:  # until c^{t+1} = e
@@ -138,29 +144,28 @@ class GroupModQ:
                                           for row in orbit])
         return self._coset_table
 
-    def _perm_cache_cap(self):
-        # keep the cache under ~200 MB regardless of group size
-        return max(64, min(4096, 25_000_000 // self.order))
-
     def left_mul_perm(self, i):
         """Permutation g -> elem_i * g as an index array (cached)."""
-        key = ("l", int(i))
-        if key not in self._perm_cache:
-            if len(self._perm_cache) >= self._perm_cache_cap():
-                self._perm_cache.clear()
-            prod = self._compose(self.elems[i][None, :], self.elems)
-            self._perm_cache[key] = self.index_of(prod)
-        return self._perm_cache[key]
+        return self._perm("l", i)
 
-    def right_mul_perm(self, i):
-        """Permutation g -> g * elem_i as an index array (cached)."""
-        key = ("r", int(i))
-        if key not in self._perm_cache:
-            if len(self._perm_cache) >= self._perm_cache_cap():
+    def act(self, c):
+        """The fiber action of c: the index permutation p with
+        (delta_c * phi)(g) = phi(g c^{-1}) = phi[p][g] (cached)."""
+        return self._perm("a", c)
+
+    def _perm(self, side, i):
+        key = (side, int(i))
+        perm = self._perm_cache.get(key)
+        if perm is None:
+            # keep the cache under ~200 MB regardless of group size
+            if len(self._perm_cache) >= max(64, min(4096, 25_000_000 // self.order)):
                 self._perm_cache.clear()
-            prod = self._compose(self.elems, self.elems[i][None, :])
-            self._perm_cache[key] = self.index_of(prod)
-        return self._perm_cache[key]
+            if side == "l":
+                prod = self._compose(self.elems[i][None, :], self.elems)
+            else:
+                prod = self._compose(self.elems, self.elems[self.inv_perm()[i]][None, :])
+            perm = self._perm_cache[key] = self.index_of(prod)
+        return perm
 
     def _compose(self, x, y):
         a = x[..., 0] * y[..., 0] + x[..., 1] * y[..., 2]
@@ -176,20 +181,15 @@ class GroupModQ:
         if weights.shape[0] != self.order or phi.shape[-1] != self.order:
             raise ModulusMismatch("measure and function live on different groups")
         out = np.zeros_like(phi, dtype=complex)
-        support = np.flatnonzero(weights)
-        inv = self.inv_perm()
-        for h in support:
-            perm = self.right_mul_perm(int(inv[h]))
-            out += weights[h] * phi[..., perm]
+        for h in np.flatnonzero(weights):
+            out += weights[h] * phi[..., self.act(h)]
         return out
 
     def convolution_matrix(self, weights):
         """Dense matrix of phi -> weights * phi."""
         M = np.zeros((self.order, self.order), dtype=complex)
-        inv = self.inv_perm()
         for h in np.flatnonzero(weights):
-            perm = self.right_mul_perm(int(inv[h]))
-            M[np.arange(self.order), perm] += weights[h]
+            M[np.arange(self.order), self.act(h)] += weights[h]
         return M
 
 
@@ -311,9 +311,7 @@ class CongruenceOperator:
         self.S = sparse.csr_matrix((np.exp(walk.f + 1j * float(b) * walk.tau), (rows, cols)),
                                    shape=(len(words), len(words)))
         bounds = np.searchsorted(words[:, 0], np.arange(model.N + 1))
-        inv = group.inv_perm()
-        self.blocks = [(bounds[j], bounds[j + 1], group.right_mul_perm(int(inv[group.reduce(g)])))
-                       for j, g in enumerate(model.gens)]
+        self.blocks = [(bounds[j], bounds[j + 1], group.act(group.reduce(g))) for j, g in enumerate(model.gens)]
 
     def apply(self, values):
         values = np.asarray(values, dtype=complex)

@@ -10,7 +10,7 @@ import numpy as np
 from . import symbolic
 from .congruence import (CongruenceFunction, CongruenceOperator, GroupModQ, cf_l2_norm, cf_lip,
                          cf_lip_norm, cf_sup_norm, new_space_projector)
-from .errors import BudgetExceeded, NotGenerating, TooLarge
+from .errors import BudgetExceeded, TooLarge
 from .thermo import CollocationGrid, NormalizedPotential, assemble_transfer, dense_leading
 
 C0 = 2.0                       # r_q lies in [C0 log N, C0 log N + l)
@@ -105,14 +105,8 @@ class DecayCurve:
     passed: bool
 
 
-def decay_small_b(lab, group, schedule, xi, seed, depth=6, step_budget=60, certificate=None):
-    """Norms of M^{js} H for a seeded new-vector H, against N(q)^{-j kappa-hat}.
-
-    `certificate` is the generates_full certificate for the return sets at this
-    modulus; experiments on non-generating moduli are refused.
-    """
-    if certificate is not None and not certificate[0]:
-        raise NotGenerating(f"modulus {group.q} lacks a generating return set")
+def decay_small_b(lab, group, schedule, xi, seed, depth=6, step_budget=60):
+    """Norms of M^{js} H for a seeded new-vector H, against N(q)^{-j kappa-hat}."""
     xi = complex(xi)
     if schedule.s_q > step_budget:
         raise BudgetExceeded(f"s_q = {schedule.s_q} exceeds step budget {step_budget}")

@@ -165,8 +165,7 @@ def cayley_gap(S, group, seed=0):
         raise NotGenerating(f"return set closes up at {cert['closure_size']} < {group.order}")
     gens = reduced_generator_indices(S, group)
     deg = len(gens)
-    inv = group.inv_perm()
-    perms = np.stack([group.right_mul_perm(int(inv[i])) for i in gens])
+    perms = np.stack([group.act(i) for i in gens])
     lam2 = float(_lanczos_top(lambda v: v[perms].sum(axis=0), group.order, 2, float, seed)[0])
     eps = 1.0 - lam2 / deg
     return float(deg), lam2, float(eps)
@@ -259,10 +258,8 @@ def transfer_apply_at(lab, group, H, xi, s, x):
     cyl = symbolic.word_rank(H.words, words, model.N)
     weights = np.exp(walk.f + 1j * xi.imag * walk.tau)
     out = np.zeros(group.order, dtype=complex)
-    inv = group.inv_perm()
     for leaf in range(walk.size()):
-        perm = group.right_mul_perm(int(inv[walk.cidx[leaf]]))
-        out += weights[leaf] * H.values[cyl[leaf]][perm]
+        out += weights[leaf] * H.values[cyl[leaf]][group.act(walk.cidx[leaf])]
     return out
 
 
@@ -284,11 +281,10 @@ def approx_transfer_check(lab, group, H, xi, r, s):
     tails = all_words(model.T, s - r)
     # a tail's cylinder (tail + omega tail) and fiber permutation do not depend on x
     ext, perms = [], []
-    inv = group.inv_perm()
     for tail in tails:
         period = omega_tail(model.T, tail[-1]).period
         ext.append((tail + period * ((H.depth - len(tail)) // len(period) + 1))[: H.depth])
-        perms.append(group.right_mul_perm(int(inv[cocycle_mod(model, tail[:-1], group)])))
+        perms.append(group.act(cocycle_mod(model, tail[:-1], group)))
     cyls = symbolic.word_rank(H.words, ext, model.N)
     residuals = np.zeros(len(anchors))
     for i, x in enumerate(anchors):

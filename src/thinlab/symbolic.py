@@ -240,40 +240,39 @@ def lip_quotient_pairs(model, rng, depths, samples_per_depth):
     """
     T = model.T
     n = T.shape[0]
+    succ = [np.flatnonzero(row) for row in T]  # successors of each symbol, ascending
     out = []
     for m in depths:
         for _ in range(samples_per_depth):
             if m == 0:
                 a, b = rng.choice(n, size=2, replace=False)
-                x = _random_point_from(T, int(a), rng)
-                y = _random_point_from(T, int(b), rng)
+                x = _random_point_from(T, succ, int(a), rng)
+                y = _random_point_from(T, succ, int(b), rng)
                 out.append((0, x, y))
                 continue
             cur = int(rng.integers(n))
             w = [cur]
             for _ in range(m - 1):
-                cur = _random_next(T, cur, rng)
+                cur = _random_next(succ, cur, rng)
                 w.append(cur)
-            succ = [k for k in range(n) if T[cur, k]]
-            a, b = rng.choice(len(succ), size=2, replace=False)
-            xa = _random_point_from(T, succ[a], rng)
-            yb = _random_point_from(T, succ[b], rng)
+            a, b = rng.choice(len(succ[cur]), size=2, replace=False)
+            xa = _random_point_from(T, succ, int(succ[cur][a]), rng)
+            yb = _random_point_from(T, succ, int(succ[cur][b]), rng)
             x = SymbolicPoint(tuple(w) + xa.preperiod, xa.period)
             y = SymbolicPoint(tuple(w) + yb.preperiod, yb.period)
             out.append((m, x, y))
     return out
 
 
-def _random_next(T, cur, rng):
-    succ = np.flatnonzero(T[cur])
-    return int(succ[rng.integers(len(succ))])
+def _random_next(succ, cur, rng):
+    return int(succ[cur][rng.integers(len(succ[cur]))])
 
 
-def _random_point_from(T, start, rng, pre_len=3):
+def _random_point_from(T, succ, start, rng, pre_len=3):
     pre = [start]
     cur = start
     for _ in range(pre_len):
-        cur = _random_next(T, cur, rng)
+        cur = _random_next(succ, cur, rng)
         pre.append(cur)
     tail = omega_tail(T, cur)
     return SymbolicPoint(tuple(pre), tail.period)

@@ -110,7 +110,7 @@ def min_nontrivial_irrep_dim(group, seed=0):
     # full conjugation table: conj[g, x] = index of elem_g elem_x elem_g^{-1}
     conj = np.empty((n, n), dtype=np.int64)
     for g in range(n):
-        conj[g] = group.right_mul_perm(int(inv[g]))[group.left_mul_perm(g)]
+        conj[g] = group.act(g)[group.left_mul_perm(g)]
     cls = -np.ones(n, dtype=int)
     n_cls = 0
     for i in range(n):
@@ -133,7 +133,7 @@ def min_nontrivial_irrep_dim(group, seed=0):
     M = np.zeros((n, n), dtype=complex)
     rows = np.arange(n)
     for h in range(n):
-        M[rows, group.right_mul_perm(int(inv[h]))] += weights[h]
+        M[rows, group.act(h)] += weights[h]
     vals = np.sort(np.linalg.eigvalsh(M))
     dims = []
     i = 0
@@ -152,8 +152,7 @@ def cayley_lambda2_power(group, gens, tol=1e-12, max_iter=100_000, seed=0):
     power iteration projected off the constants.  Independent of the Lanczos
     solve in cayley_gap, but slow when lambda_2 and lambda_3 are close."""
     deg = len(gens)
-    inv = group.inv_perm()
-    perms = np.stack([group.right_mul_perm(int(inv[i])) for i in gens])
+    perms = np.stack([group.act(i) for i in gens])
 
     def shifted(v):
         return v[perms].sum(axis=0) + deg * v
@@ -226,7 +225,7 @@ def congruence_apply_branches(lab, group, b, a, depth, values):
         if group.q == 1:
             perm = np.array([0])
         else:
-            perm = group.right_mul_perm(int(group.inv_perm()[group.reduce(model.gens[j])]))
+            perm = group.act(group.reduce(model.gens[j]))
         out[mask] += weight[:, None] * values[src][:, perm]
     return out
 
@@ -385,3 +384,44 @@ def conv_opnorm_lanczos(group, weights, projector, seed=0):
 
     lam = float(_lanczos_top(gram, group.order, 1, complex, seed)[0])
     return float(np.sqrt(max(lam, 0.0)))
+
+
+def lip_quotient_pairs_per_draw(model, rng, depths, samples_per_depth):
+    """symbolic.lip_quotient_pairs with each symbol's successors looked up again
+    at every draw; the draws from rng must be the same, in the same order."""
+    from thinlab.symbolic import SymbolicPoint, omega_tail
+
+    T = model.T
+    n = T.shape[0]
+
+    def random_next(cur):
+        succ = np.flatnonzero(T[cur])
+        return int(succ[rng.integers(len(succ))])
+
+    def random_point_from(start, pre_len=3):
+        pre = [start]
+        cur = start
+        for _ in range(pre_len):
+            cur = random_next(cur)
+            pre.append(cur)
+        return SymbolicPoint(tuple(pre), omega_tail(T, cur).period)
+
+    out = []
+    for m in depths:
+        for _ in range(samples_per_depth):
+            if m == 0:
+                a, b = rng.choice(n, size=2, replace=False)
+                out.append((0, random_point_from(int(a)), random_point_from(int(b))))
+                continue
+            cur = int(rng.integers(n))
+            w = [cur]
+            for _ in range(m - 1):
+                cur = random_next(cur)
+                w.append(cur)
+            succ = [k for k in range(n) if T[cur, k]]
+            a, b = rng.choice(len(succ), size=2, replace=False)
+            xa = random_point_from(succ[a])
+            yb = random_point_from(succ[b])
+            out.append((m, SymbolicPoint(tuple(w) + xa.preperiod, xa.period),
+                        SymbolicPoint(tuple(w) + yb.preperiod, yb.period)))
+    return out

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -202,6 +203,39 @@ def test_flatten_json(config, tmp_path, capsys):
     payload = json.loads(open(os.path.join(out, _artifacts(out, "flatten")[0])).read())
     assert payload["passed"] is True
     assert payload["q"] == 5 and payload["r"] == 8
+
+
+ARTIFACT_NAME = re.compile(r"(.+)-\d{8}-\d{6}(?:-\d+)?\.(csv|json)")
+
+# subcommand, its flags, and the (command, ext) of every artifact it writes;
+# the first is the one it prints, except for rpf
+RUNS = [
+    ("delta", [], [("delta", "json")]),
+    ("rpf", ["--a", "0.02"], [("rpf", "csv")]),
+    ("cayley", ["--q", "5", "--p", "3"], [("cayley", "csv")]),
+    ("flatten", ["--q", "5", "--r", "8", "--l", "4", "--p", "3"], [("flatten", "json"), ("decomposition", "csv")]),
+    ("decay", ["--q", "5", "--p", "3", "--depth", "3"], [("decay", "csv"), ("decay-uniform", "csv")]),
+    ("twist", ["--b", "5"], [("twist", "csv")]),
+    ("report", [], [("report", "json")]),
+]
+
+
+@pytest.mark.parametrize("command, flags, written", RUNS, ids=[r[0] for r in RUNS])
+def test_each_command_prints_and_writes_its_artifacts(config, tmp_path, capsys, command, flags, written):
+    out = tmp_path / "out"
+    if command == "report":
+        out.mkdir()
+        argv = ["report", "--out", str(out)]
+    else:
+        argv = [command, "--config", config, "--out", str(out)] + flags
+    assert main(argv) == 0
+    names = {ARTIFACT_NAME.fullmatch(n).groups(): n for n in os.listdir(out)}
+    assert sorted(names) == sorted(written)
+    printed = capsys.readouterr().out
+    if command == "rpf":
+        assert set(json.loads(printed)) == {"a", "lambda", "gap"}  # the summary, not the CSV
+    else:
+        assert printed == (out / names[written[0]]).read_text().rstrip("\n") + "\n"
 
 
 def test_cli_import_loads_no_scipy():

@@ -153,9 +153,25 @@ def test_fiber_action_unitary(model, groups):
     phi = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
     for j in range(model.N):
         idx = g.reduce(model.gens[j])
-        perm = g.right_mul_perm(int(g.inv_perm()[idx]))
+        perm = g.act(idx)
         assert len(np.unique(perm)) == g.order
         assert np.array_equal(np.sort(np.abs(phi[perm])), np.sort(np.abs(phi)))
+
+
+@pytest.mark.parametrize("q", [1, 5, 6, 15])
+def test_act_is_right_multiplication_by_the_inverse(q):
+    # (delta_c * phi)(g) = phi(g c^{-1}) = phi[act(c)][g], against explicit 2 x 2 products
+    g = GroupModQ.build(q)
+    mats = g.elems.reshape(-1, 2, 2)
+    rng = np.random.default_rng(q)
+    phi = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+    for c in range(g.order):
+        (a, b), (cc, d) = mats[c]
+        c_inv = np.array([[d, -b], [-cc, a]])
+        assert np.array_equal(g.act(c), g.index_of((mats @ c_inv).reshape(-1, 4)))
+        delta = np.zeros(g.order)
+        delta[c] = 1.0
+        assert np.array_equal(g.convolve_fn(delta, phi), phi[g.act(c)])
 
 
 def test_prime_decomposition_is_mean_zero(groups):

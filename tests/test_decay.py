@@ -11,7 +11,7 @@ from thinlab import (
 )
 from thinlab import decay as dc
 from thinlab import symbolic as sym
-from thinlab.errors import NotGenerating, TooLarge
+from thinlab.errors import TooLarge
 from thinlab.thermo import CollocationGrid, NormalizedPotential, assemble_transfer, rpf_solve
 
 from oracles import growth_rate
@@ -126,13 +126,6 @@ def test_decay_curves_pass_and_agree(model, lab, groups, consts, expansion):
         assert all(n2 < n1 for n1, n2 in zip(curve.norms, curve.norms[1:]))
         factors.append(curve.per_step_factor)
     assert max(factors) <= 2.0 * min(factors)
-
-
-def test_decay_refuses_nongenerating(model, lab, groups, consts, expansion):
-    sched = make_schedule(2, consts, l=expansion["p"] + 1)
-    with pytest.raises(NotGenerating):
-        decay_small_b(lab, groups(2), sched, 0.0, seed=1, depth=4,
-                      certificate=(False, {"closure_size": 1}))
 
 
 def test_supnorm_lipschitz_zero_input(model, lab, groups, consts, expansion):

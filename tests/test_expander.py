@@ -21,7 +21,8 @@ from thinlab import (
 from thinlab import congruence as cg
 from thinlab import expander as ex
 from thinlab import symbolic as sym
-from thinlab.errors import DepthExhausted, EnumerationTooLarge, ModulusMismatch, NoConvergence, NotGenerating
+from thinlab.errors import (DepthExhausted, EnumerationTooLarge, ModulusMismatch, NoConvergence, NotGenerating,
+                            TooLarge)
 
 from oracles import (
     build_measures_fresh,
@@ -118,9 +119,8 @@ def test_cayley_gap_methods_agree(model, groups, expansion):
     assert abs(lan[1] - cayley_lambda2_power(g5, gens)) <= 1e-8 * max(1.0, lan[0])
     # dense oracle
     A = np.zeros((g5.order, g5.order))
-    inv = g5.inv_perm()
     for i in gens:
-        A[np.arange(g5.order), g5.right_mul_perm(int(inv[i]))] += 1
+        A[np.arange(g5.order), g5.act(i)] += 1
     w = np.sort(np.linalg.eigvalsh(A))
     assert abs(w[-1] - lan[0]) <= 1e-9 * lan[0]
     assert abs(w[-2] - lan[1]) <= 1e-8 * max(1.0, lan[0])
@@ -322,6 +322,19 @@ def test_conv_opnorm_blocks_raise_when_norm_not_attained(groups):
 
     with pytest.raises(NoConvergence):
         ex.conv_opnorm(g13, weights, zero_first, svd_cap=0)
+
+
+def test_coset_table_refused_before_it_is_built(monkeypatch):
+    # at q = 13 the table has 2184^2 / 26 = 183,456 entries
+    monkeypatch.setattr(cg, "MAX_BLOCK_ENTRIES", 100_000)
+    g13 = cg.GroupModQ.build(13)
+    w = np.zeros(g13.order, dtype=complex)
+    w[:3] = 1.0
+    with pytest.raises(TooLarge):
+        ex.conv_opnorm(g13, w, cg.mean_zero_projector)
+    with pytest.raises(TooLarge):
+        g13.coset_table()
+    assert g13._coset_table is None
 
 
 def test_conv_opnorm_blocks_match_dense(groups):

@@ -9,7 +9,7 @@ from thinlab.errors import EnumerationTooLarge, InadmissibleWord, NotMixing
 from thinlab.schottky import IDENTITY
 from thinlab.thermo import A0P
 
-from oracles import brute_force_words
+from oracles import brute_force_words, lip_quotient_pairs_per_draw
 
 
 def test_mixing_full_shift():
@@ -86,6 +86,16 @@ def test_eval_contraction_rate(model, consts):
     ratios = [abs(eval_point(model, x) - eval_point(model, y)) / consts.theta**m
               for m, x, y in pairs]
     assert max(ratios) <= consts.C_theta
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_lip_quotient_pairs_keep_the_per_draw_stream(model, seed):
+    # the measured constants depend on these pairs, so the draws must not move
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    pairs = sym.lip_quotient_pairs(model, rng, depths=range(0, 9), samples_per_depth=20)
+    assert pairs == lip_quotient_pairs_per_draw(model, ref, depths=range(0, 9), samples_per_depth=20)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert all(type(s) is int for _, x, y in pairs for s in x.preperiod + x.period + y.preperiod + y.period)
 
 
 def test_d_theta_basic(model):
