@@ -8,7 +8,6 @@ index it carries after t steps is the ascending product of the t innermost
 step matrices.
 """
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,8 +183,23 @@ class MeasureOnFq:
         return float(np.linalg.norm(self.weights))
 
 
-# ((lab, group, x, r, a), walk) of the last r-step head walk build_measures made
-_head_memo = None
+def _walk(lab, group, x, r, tails, a):
+    """r all-symbol prepend steps from x, then one step per tail position,
+    innermost first, over the symbols the tails (rows of an int array) hold
+    there.  Returns the walk, each leaf's prepended word, its atom (the
+    cocycle index after r + 1 steps) and its Birkhoff f-sum after r steps."""
+    model = lab.model
+    walk = Walk.from_point(model, lab.potential(a), x, group)
+    word = np.empty((1, 0), dtype=np.int64)
+    for _ in range(r):
+        parents = walk.step(range(model.N))
+        word = np.column_stack([walk.sym, word[parents]])
+    f_r, atoms = walk.f, None
+    for symbols in tails.T[::-1]:
+        parents = walk.step(np.unique(symbols))
+        f_r, word = f_r[parents], np.column_stack([walk.sym, word[parents]])
+        atoms = walk.cidx if atoms is None else atoms[parents]
+    return walk, word, atoms, f_r
 
 
 def build_measures(lab, group, x, r, s, tail, xi):
@@ -193,10 +207,7 @@ def build_measures(lab, group, x, r, s, tail, xi):
 
     tail is the word (alpha_s, ..., alpha_{r+1}) in forward order; atoms sit at
     the (r+1)-step cocycle indices, weights are exact Birkhoff sums evaluated
-    through the collocation data.  The r-step head walk does not depend on the
-    tail: it is walked once per (x, r) and a shallow copy is branched per tail.
-    """
-    global _head_memo
+    through the collocation data."""
     xi = complex(xi)
     a, b = xi.real, xi.imag
     tail = tuple(tail)
@@ -204,22 +215,11 @@ def build_measures(lab, group, x, r, s, tail, xi):
         raise ValueError("need 0 < r < s and a tail of s - r symbols")
     if not symbolic.admissible(lab.model.T, tail):
         raise ValueError(f"tail {tail} is not admissible")
-    key = (lab, group, x, r, a)
-    entry = _head_memo  # read once, so a thread sees one whole entry
-    if entry is None or entry[0] != key:
-        head = Walk.from_point(lab.model, lab.potential(a), x, group)
-        for _ in range(r):
-            head.step(range(lab.model.N))
-        entry = _head_memo = (key, head)
-    walk = copy.copy(entry[1])
-    f_r = entry[1].f[walk.step([tail[-1]])]
-    cidx_atoms = walk.cidx
-    for j in reversed(tail[:-1]):
-        f_r = f_r[walk.step([j])]
+    walk, _, atoms, f_r = _walk(lab, group, x, r, np.array([tail]), a)
     mu, mu_hat, nu0 = np.zeros(group.order, dtype=complex), np.zeros(group.order), np.zeros(group.order)
-    np.add.at(mu, cidx_atoms, np.exp(walk.f + 1j * b * walk.tau))
-    np.add.at(mu_hat, cidx_atoms, np.exp(walk.f))
-    np.add.at(nu0, cidx_atoms, np.exp(f_r))
+    np.add.at(mu, atoms, np.exp(walk.f + 1j * b * walk.tau))
+    np.add.at(mu_hat, atoms, np.exp(walk.f))
+    np.add.at(nu0, atoms, np.exp(f_r))
     omega = omega_tail(lab.model.T, tail[-1])
     _, _, f_tail = symbolic.birkhoff(lab.potential(a), tail, omega)
     nu = float(np.exp(f_tail)) * nu0
@@ -237,25 +237,20 @@ def build_measures(lab, group, x, r, s, tail, xi):
 def transfer_apply_at(lab, group, H, xi, s, x):
     """M^s(H)(x) as the exact word sum, H read as a depth-D locally constant
     function; the fiber action of the cocycle is applied leaf by leaf."""
+    if s < 1:
+        raise ValueError(f"need s >= 1 steps, got s = {s}")
+    walk, word, _, _ = _walk(lab, group, x, s, np.empty((1, 0), dtype=np.int64), xi.real)
+    return _word_sum(lab, group, H, xi, x, walk, word)
+
+
+def _word_sum(lab, group, H, xi, x, walk, word):
+    """The exact word sum of M^s(H)(x) over the leaves of a walk from x that
+    prepended every admissible s-symbol word, given as the rows of `word`."""
     if H.values.shape[1] != group.order:
         raise ModulusMismatch(f"fiber values of shape {H.values.shape}, group of order {group.order}")
-    xi = complex(xi)
-    model = lab.model
-    depth = H.depth
-    walk = Walk.from_point(model, lab.potential(xi.real), x, group)
-    for _ in range(s):
-        walk.step(range(model.N))
-    # cylinder of each leaf: its prepended word, then x's symbols; the leaves
-    # run in lexicographic order of their words, so the words are the rows of
-    # the s-symbol word table that may precede x
-    words = symbolic.word_table(model.T, s)
-    words = words[model.T[words[:, -1], x.first] == 1]
-    if s < depth:
-        fill = np.tile(np.array(x.symbols(depth - s), dtype=np.int8), (len(words), 1))
-        words = np.concatenate([words, fill], axis=1)
-    else:
-        words = words[:, :depth]
-    cyl = symbolic.word_rank(H.words, words, model.N)
+    # a leaf's cylinder: its prepended word, then x's symbols
+    fill = np.tile(np.array(x.symbols(H.depth)), (len(word), 1))
+    cyl = symbolic.word_rank(H.words, np.concatenate([word, fill], axis=1)[:, : H.depth], lab.model.N)
     weights = np.exp(walk.f + 1j * xi.imag * walk.tau)
     out = np.zeros(group.order, dtype=complex)
     for leaf in range(walk.size()):
@@ -266,9 +261,10 @@ def transfer_apply_at(lab, group, H, xi, s, x):
 def approx_transfer_check(lab, group, H, xi, r, s):
     """Residual of the measure-convolution approximation of M^s against the
     exact word sum at the anchors (w; omega) over all admissible 2-words w,
-    compared to the bound C_f Lip(H) theta^{s-r}."""
-    if H.values.shape[1] != group.order:
-        raise ModulusMismatch(f"fiber values of shape {H.values.shape}, group of order {group.order}")
+    compared to the bound C_f Lip(H) theta^{s-r}.  Per anchor, one s-step walk
+    over all admissible tails gives the exact sum and every tail's mu."""
+    if not (0 < r < s):
+        raise ValueError("need 0 < r < s and a tail of s - r symbols")
     if s - r > 8:
         raise ValueError("s - r capped at 8")
     if H.depth < s:
@@ -279,20 +275,23 @@ def approx_transfer_check(lab, group, H, xi, r, s):
     lip = cf_lip(H, consts.theta)
     bound = consts.C_f * lip * consts.theta ** (s - r)
     tails = all_words(model.T, s - r)
+    table = np.array(tails)
     # a tail's cylinder (tail + omega tail) and fiber permutation do not depend on x
     ext, perms = [], []
     for tail in tails:
-        period = omega_tail(model.T, tail[-1]).period
-        ext.append((tail + period * ((H.depth - len(tail)) // len(period) + 1))[: H.depth])
+        ext.append(omega_tail(model.T, tail[-1]).prepend(tail).symbols(H.depth))
         perms.append(group.act(cocycle_mod(model, tail[:-1], group)))
     cyls = symbolic.word_rank(H.words, ext, model.N)
     residuals = np.zeros(len(anchors))
     for i, x in enumerate(anchors):
-        exact = transfer_apply_at(lab, group, H, xi, s, x)
+        walk, word, atoms, _ = _walk(lab, group, x, r, table, xi.real)
+        exact = _word_sum(lab, group, H, xi, x, walk, word)
+        rank = symbolic.word_rank(table, word[:, : s - r], model.N)
+        mu = np.zeros((len(tails), group.order), dtype=complex)
+        np.add.at(mu, (rank, atoms), np.exp(walk.f + 1j * xi.imag * walk.tau))
         approx = np.zeros(group.order, dtype=complex)
-        for tail, cyl, perm in zip(tails, cyls, perms):
-            meas = build_measures(lab, group, x, r, s, tail, xi)
-            approx += group.convolve_fn(meas["mu"].weights, H.values[cyl][perm])
+        for weights, cyl, perm in zip(mu, cyls, perms):
+            approx += group.convolve_fn(weights, H.values[cyl][perm])
         residuals[i] = np.linalg.norm(exact - approx)
     sup = float(residuals.max())
     ratio = sup / bound if bound > 0 else np.inf if sup > 0 else 0.0

@@ -366,8 +366,8 @@ class Walk:
     given, the index of the ascending cocycle product.  New leaves are ordered
     by prepended symbol, then by parent, so the leaves always run in
     lexicographic order of the prepended word, then in starting order.
-    `step` rebinds the leaf arrays and never writes into them, so a shallow
-    copy of a walk can be stepped while the original stays valid.
+    `step` rebinds the leaf arrays and never writes into them, so an array
+    read from a walk keeps the values of the level it was read at.
     """
 
     def __init__(self, model, pot, sym, v, group=None):

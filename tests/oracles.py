@@ -233,7 +233,8 @@ def congruence_apply_branches(lab, group, b, a, depth, values):
 def build_measures_fresh(lab, group, x, r, s, tail, xi):
     """The approximating measures with a fresh s-step walk for this one tail:
     r all-symbol head steps, then the tail symbols one by one.  A regression
-    oracle for build_measures, which branches one cached head walk per tail."""
+    oracle for build_measures, whose walk is the one-tail case of the tail
+    walk that approx_transfer_check steps over all tails at once."""
     from thinlab import symbolic
     from thinlab.thermo import Walk
 
@@ -261,6 +262,34 @@ def build_measures_fresh(lab, group, x, r, s, tail, xi):
     _, _, f_tail = symbolic.birkhoff(lab.potential(a), tail, symbolic.omega_tail(lab.model.T, tail[-1]))
     nu = float(np.exp(f_tail)) * nu0
     return {"mu": mu, "nu0": nu0, "mu_hat": mu_hat, "nu": nu, "n_words": walk.size()}
+
+
+def approx_residuals_per_tail(lab, group, H, xi, r, s):
+    """(residuals, exact sums) of approx_transfer_check computed tail by tail:
+    at each anchor the exact sum from transfer_apply_at, then for each tail its
+    mu from a fresh walk (build_measures_fresh), convolved with H on the tail's
+    cylinder through the tail's fiber action.  A regression oracle for
+    approx_transfer_check, which reads every tail's mu from one walk."""
+    from thinlab import symbolic
+    from thinlab.congruence import cocycle_mod
+    from thinlab.expander import transfer_apply_at
+
+    model = lab.model
+    anchors = [symbolic.SymbolicPoint(w, symbolic.omega_tail(model.T, w[-1]).period)
+               for w in symbolic.all_words(model.T, 2)]
+    residuals, exacts = [], []
+    for x in anchors:
+        exact = transfer_apply_at(lab, group, H, xi, s, x)
+        approx = np.zeros(group.order, dtype=complex)
+        for tail in symbolic.all_words(model.T, s - r):
+            period = symbolic.omega_tail(model.T, tail[-1]).period
+            ext = (tail + period * H.depth)[: H.depth]
+            cyl = symbolic.word_rank(H.words, [ext], model.N)[0]
+            mu = build_measures_fresh(lab, group, x, r, s, tail, xi)["mu"]
+            approx += group.convolve_fn(mu, H.values[cyl][group.act(cocycle_mod(model, tail[:-1], group))])
+        residuals.append(np.linalg.norm(exact - approx))
+        exacts.append(exact)
+    return np.array(residuals), exacts
 
 
 def closure_size_bfs(mats, q):

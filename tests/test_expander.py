@@ -23,8 +23,10 @@ from thinlab import expander as ex
 from thinlab import symbolic as sym
 from thinlab.errors import (DepthExhausted, EnumerationTooLarge, ModulusMismatch, NoConvergence, NotGenerating,
                             TooLarge)
+from thinlab.thermo import Walk
 
 from oracles import (
+    approx_residuals_per_tail,
     build_measures_fresh,
     cayley_lambda2_power,
     closure_size_bfs,
@@ -165,10 +167,10 @@ def test_measure_lemmas(model, lab, groups, consts):
 
 
 def test_build_measures_matches_fresh_walk(model, lab, groups):
-    # calls come in pairs of tails on one (group, xi, anchor): the first walks
-    # a new head, the second branches the cached one.  From pair to pair the
-    # settings run through a Gray code, so each of the group, xi and anchor
-    # changes on its own somewhere: a stale head or an aliased branch would show
+    # calls come in pairs of tails on one (group, xi, anchor), and from pair to
+    # pair the settings run through a Gray code, so each of the group, xi and
+    # anchor changes on its own somewhere: state carried from one call to the
+    # next, such as a reused head walk, would show
     anchors = [sym.point((0,), (1,)), sym.SymbolicPoint((1, 0), sym.omega_tail(model.T, 0).period)]
     gray = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0), (1, 1, 0), (1, 1, 1), (1, 0, 1), (1, 0, 0)]
     settings = [((5, 7)[i], (0.3j, 0.02 + 0.4j)[j], anchors[k]) for i, j, k in gray]
@@ -232,6 +234,60 @@ def test_approx_exact_on_locally_constant(model, lab, groups):
         lift.values[i] = low.values[idx[w[: low.depth]]]
     rep = approx_transfer_check(lab, g5, lift, 0.3j, r, s)
     assert rep["sup"] <= 1e-9
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_approx_matches_per_tail_oracle(model, lab, groups, q, monkeypatch):
+    # one walk per anchor serves the exact sum and every tail's mu; the exact
+    # sums are those of transfer_apply_at bit for bit, while mu's tail steps
+    # run over all tails at once and so round differently from one tail's walk
+    g = groups(q)
+    H = CongruenceFunction.random_dtheta_lipschitz(model, g, 6, np.random.default_rng(q), lab.constants().theta)
+    word_sum = ex._word_sum
+    exacts = []
+
+    def recorded(*args):
+        exacts.append(word_sum(*args))
+        return exacts[-1]
+
+    for sr in (1, 2, 3, 4):
+        exacts.clear()
+        monkeypatch.setattr(ex, "_word_sum", recorded)
+        rep = approx_transfer_check(lab, g, H, 0.3j, 6 - sr, 6)
+        monkeypatch.setattr(ex, "_word_sum", word_sum)
+        want, want_exacts = approx_residuals_per_tail(lab, g, H, 0.3j, 6 - sr, 6)
+        np.testing.assert_allclose(rep["residuals"], want, rtol=1e-12, atol=0, err_msg=f"q={q}, s-r={sr}")
+        assert len(exacts) == len(want_exacts)
+        for got, exact in zip(exacts, want_exacts):
+            assert np.array_equal(got, exact), (q, sr)
+
+
+def test_approx_walks_once_per_anchor(model, lab, groups, monkeypatch):
+    g5 = groups(5)
+    H = CongruenceFunction.random(model, g5, 6, np.random.default_rng(16))
+    step = Walk.step
+    calls = []
+
+    def counted(walk, symbols):
+        calls.append(symbols)
+        return step(walk, symbols)
+
+    monkeypatch.setattr(Walk, "step", counted)
+    approx_transfer_check(lab, g5, H, 0.3j, 3, 6)
+    assert len(calls) == len(sym.all_words(model.T, 2)) * 6
+
+
+@pytest.mark.parametrize("r, s", [(0, 4), (4, 4), (5, 4)])
+def test_approx_refuses_r_outside_0_s(model, lab, groups, r, s):
+    H = CongruenceFunction.random(model, groups(5), 6, np.random.default_rng(17))
+    with pytest.raises(ValueError, match="need 0 < r < s"):
+        approx_transfer_check(lab, groups(5), H, 0.3j, r, s)
+
+
+def test_transfer_apply_at_refuses_zero_steps(model, lab, groups):
+    H = CongruenceFunction.random(model, groups(5), 6, np.random.default_rng(17))
+    with pytest.raises(ValueError, match="s = 0"):
+        ex.transfer_apply_at(lab, groups(5), H, 0.3j, 0, sym.point((0,), (1,)))
 
 
 def test_approx_refuses_shallow_input(model, lab, groups):
