@@ -53,10 +53,10 @@ class RunConfig:
                 continue  # detected or derived when absent
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ConfigParse(f"{name} must be an integer, got {v!r}")
+            if v < 1 and name != "seed":
+                raise ConfigParse(f"{name} must be >= 1, got {v}")
         if self.theta is not None and not (type(self.theta) in (int, float) and 0 < self.theta < 1):
             raise ConfigParse(f"theta must be a number in (0, 1), got {self.theta!r}")
-        if self.degree < 1 or self.depth < 1:
-            raise ConfigParse(f"degree and depth must be >= 1, got {self.degree} and {self.depth}")
         if len(self.q_list) != len(set(self.q_list)):
             raise ConfigParse("q entries must be pairwise distinct")
         for q in self.q_list:

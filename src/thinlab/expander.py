@@ -14,7 +14,8 @@ import numpy as np
 
 from . import congruence, symbolic
 from .congruence import GroupModQ, cf_lip, cocycle_mod, mean_zero_projector, new_space_projector
-from .errors import DepthExhausted, EnumerationTooLarge, GroupTooSmall, ModulusMismatch, NoConvergence, NotGenerating
+from .errors import (DepthExhausted, EnumerationTooLarge, GroupTooSmall, InadmissibleWord, ModulusMismatch,
+                     NoConvergence, NotGenerating)
 from .symbolic import SymbolicPoint, all_words, enumerate_words, omega_tail
 from .thermo import RESIDUAL_TOL, Walk
 
@@ -405,7 +406,7 @@ def flattening_pipeline(lab, group, x, r_prime, l, p, xi=0.3j, gaps=None, seed=0
     entries["mu_hat_vs_nu"] = {"ratio": max(hi, 1.0 / lo), "bound": C_cmp, "passed": hi <= C_cmp and 1.0 / lo <= C_cmp}
 
     # nu1 from nearly flat blocks
-    nu1, flat_ratio, block_measures, block_pairs = _build_nu1(lab, group, x, r_prime, l, p, tail, a)
+    nu1, flat_ratio, block_measures = _build_nu1(lab, group, x, r_prime, l, p, tail, a)
     C_est = consts.estimate_nu_C(p)
     bound_est = r_prime * C_est * theta**l
     both = (nu0.weights > 0) | (nu1 > 0)
@@ -481,72 +482,64 @@ def flattening_pipeline(lab, group, x, r_prime, l, p, xi=0.3j, gaps=None, seed=0
 
 
 def _build_nu1(lab, group, x, r_prime, l, p, tail, a):
-    """nu1 as a sum over second-part chains of convolutions of nearly flat blocks.
+    """nu1, the sum over chains (u_{r'}, ..., u_1) of (l-p)-symbol second parts,
+    u_1 admissible before x, of delta_{c(u_1[-1])} * eta_1 * ... * eta_{r'}, where
+    eta_j is the block of u_j under u_{j+1} (under the tail for j = r').
 
-    A chain fixes the (l-p)-symbol second parts (u_{r'}, ..., u_1) of all r'
-    blocks; each block then sums over its admissible p-word first parts with
-    the dependence on neighboring blocks cut by the omega continuation.
-    Returns (dense weights, worst within-block coefficient ratio, one measure
-    per distinct block endpoint pair, number of chains).
+    Convolution is linear, so the sum is taken one position at a time: after
+    position j, partial[k] sums the chains with u_{j+1} = parts[k], and each
+    distinct block (j, u_{j+1}, u_j) is built and convolved once.  A block with no
+    p-word cuts the chains through it.  The block kept for a key (y, u_j[0]) is the
+    one met first when the chains run in product order over (u_1, ..., u_{r'}),
+    u_1 slowest, positions ascending; a partial carries the smallest chain that
+    reaches it for this.  Returns (dense weights, worst within-block coefficient
+    ratio, one measure per key in order of first meeting).
     """
     model = lab.model
-    T = model.T
-    parts = all_words(T, l - p)
-    chains = [(u,) for u in parts if T[u[-1], x.first]]
-    for _ in range(r_prime - 1):
-        chains = [(u,) + ch for ch in chains for u in parts]
-    nu1 = np.zeros(group.order)
-    flat_ratio = 1.0
-    block_measures = []
-    seen_blocks = set()
-    for chain in chains:
-        # chain = (u_{r'}, ..., u_1): forward order of the final word
-        conv = np.zeros(group.order, dtype=complex)
-        conv[cocycle_mod(model, (chain[-1][-1],), group)] = 1.0  # eta_0 = delta at c(alpha_1, x)
-        ok = True
-        for j in range(1, r_prime + 1):
-            u_j = chain[r_prime - j]
-            y_j = tail[-1] if j == r_prime else chain[r_prime - j - 1][-1]
-            u_next = None if j >= r_prime else chain[r_prime - j - 1]
-            eta, evals = _eta_weights(lab, group, a, y_j, u_j, u_next, p, j, r_prime, x)
-            if not evals:
-                ok = False
-                break
-            flat_ratio = max(flat_ratio, max(evals) / min(evals))
-            key = (y_j, u_j[0])
-            if key not in seen_blocks:
-                seen_blocks.add(key)
-                block_measures.append((key, eta))
-            conv = group.convolve_fn(conv, eta.astype(complex))
-        if ok:
-            nu1 += conv.real
-    return nu1, flat_ratio, block_measures, len(chains)
+    parts = all_words(model.T, l - p)
+    # part index -> [smallest chain (of part indices) that reaches it, partial sum];
+    # before position 1 the sum is the delta at c(u_1[-1])
+    partial = {i: [(i,), np.eye(1, group.order, cocycle_mod(model, (u[-1],), group))[0]]
+               for i, u in enumerate(parts) if model.T[u[-1], x.first]}
+    flat_ratio, found = 1.0, {}
+    for j in range(1, r_prime + 1):
+        grown = {}  # partial runs in chain order, so the first chain to reach a part is its smallest
+        for i, (chain, conv) in partial.items():
+            for k in range(len(parts)) if j < r_prime else [None]:
+                outer = (tail[-1],) if k is None else parts[k]
+                eta, E = _nu1_block(lab, group, x, j, r_prime, parts[i], outer, p, a)
+                if eta is None:
+                    continue
+                flat_ratio = max(flat_ratio, E.max() / E.min())
+                reach = chain if k is None else chain + (k,)
+                key = (outer[-1], parts[i][0])
+                if key not in found or (reach, j) < found[key][0]:
+                    found[key] = ((reach, j), eta)
+                grown.setdefault(k, [reach, 0.0])[1] += group.convolve_fn(conv, eta)
+        partial = grown
+    nu1 = partial[None][1].real if partial else np.zeros(group.order)
+    block_measures = [(key, eta) for key, (_, eta) in sorted(found.items(), key=lambda kv: kv[1][0])]
+    return nu1, flat_ratio, block_measures
 
 
-def _eta_weights(lab, group, a, y, u_part, u_next, p, j, r_prime, x):
-    """Block measure eta^q: weights over the admissible p-word first parts.
-
-    The atom of a p-word choice is the l-step cocycle (y, p-word, u_part[:-1]);
-    the coefficient E is the Birkhoff f-sum prescribed for the block position
-    (full dependence on x for the innermost block, omega-cut otherwise).
-    """
+def _nu1_block(lab, group, x, j, r_prime, u, outer, p, a):
+    """Block eta_j of part u under `outer`, the next part ((y,) for j = r'), from
+    one walk: atoms c((y,) + pw + u[:-1]) and coefficients exp(f) over the
+    admissible p-words pw from y = outer[-1] to u[0].  The walk starts at
+    x.prepend(u) for j = 1, else at (u; omega(u[-1])), takes p all-symbol steps,
+    then steps `outer`; f is its Birkhoff sum of outer + pw (of pw for j = r'), plus
+    that of u on x for j = 1.  (None, None) when no p-word fits."""
     model = lab.model
-    pot = lab.potential(a)
-    pwords = enumerate_words(model.T, y, u_part[0], p + 1)
+    start = x.prepend(u) if j == 1 else omega_tail(model.T, u[-1]).prepend(u)
+    try:
+        walk, _, atoms, f_p = _walk(lab, group, start, p, np.array([outer]), a)
+    except InadmissibleWord:
+        return None, None
+    f = f_p if j == r_prime else walk.f
+    if j == 1:
+        f = f + symbolic.birkhoff(lab.potential(a), u, x)[2]
+    E = np.exp(f)
     eta = np.zeros(group.order)
-    evals = []
-    base = SymbolicPoint(tuple(u_part), omega_tail(model.T, u_part[-1]).period)
-    for w in pwords:
-        pw = w[1:-1]
-        if j == 1:
-            _, _, fE = symbolic.birkhoff(pot, u_next + pw + u_part, x)
-        elif j < r_prime:
-            _, _, fE = symbolic.birkhoff(pot, u_next + pw, base)
-        else:
-            _, _, fE = symbolic.birkhoff(pot, pw, base)
-        E = float(np.exp(fE))
-        evals.append(E)
-        atom_word = (y,) + pw + u_part[:-1]
-        eta[cocycle_mod(model, atom_word, group)] += E
-    return eta, evals
-
+    # right multiplication by c(u[:-1]) is the fiber action of its inverse
+    np.add.at(eta, group.act(group.inv_perm()[cocycle_mod(model, u[:-1], group)])[atoms], E)
+    return eta, E

@@ -454,3 +454,84 @@ def lip_quotient_pairs_per_draw(model, rng, depths, samples_per_depth):
             out.append((m, SymbolicPoint(tuple(w) + xa.preperiod, xa.period),
                         SymbolicPoint(tuple(w) + yb.preperiod, yb.period)))
     return out
+
+
+def build_nu1_chains(lab, group, x, r_prime, l, p, tail, a):
+    """nu1 as a sum over second-part chains of convolutions of nearly flat blocks.
+    A regression oracle for expander._build_nu1, which sums the chains one
+    position at a time and builds each block from one walk; this one lists every
+    chain and evaluates every block word by word.
+
+    A chain fixes the (l-p)-symbol second parts (u_{r'}, ..., u_1) of all r'
+    blocks; each block then sums over its admissible p-word first parts with
+    the dependence on neighboring blocks cut by the omega continuation.
+    Returns (dense weights, worst within-block coefficient ratio, one measure
+    per distinct block endpoint pair, number of chains).
+    """
+    from thinlab.congruence import cocycle_mod
+    from thinlab.symbolic import all_words
+
+    model = lab.model
+    T = model.T
+    parts = all_words(T, l - p)
+    chains = [(u,) for u in parts if T[u[-1], x.first]]
+    for _ in range(r_prime - 1):
+        chains = [(u,) + ch for ch in chains for u in parts]
+    nu1 = np.zeros(group.order)
+    flat_ratio = 1.0
+    block_measures = []
+    seen_blocks = set()
+    for chain in chains:
+        # chain = (u_{r'}, ..., u_1): forward order of the final word
+        conv = np.zeros(group.order, dtype=complex)
+        conv[cocycle_mod(model, (chain[-1][-1],), group)] = 1.0  # eta_0 = delta at c(alpha_1, x)
+        ok = True
+        for j in range(1, r_prime + 1):
+            u_j = chain[r_prime - j]
+            y_j = tail[-1] if j == r_prime else chain[r_prime - j - 1][-1]
+            u_next = None if j >= r_prime else chain[r_prime - j - 1]
+            eta, evals = _eta_weights(lab, group, a, y_j, u_j, u_next, p, j, r_prime, x)
+            if not evals:
+                ok = False
+                break
+            flat_ratio = max(flat_ratio, max(evals) / min(evals))
+            key = (y_j, u_j[0])
+            if key not in seen_blocks:
+                seen_blocks.add(key)
+                block_measures.append((key, eta))
+            conv = group.convolve_fn(conv, eta.astype(complex))
+        if ok:
+            nu1 += conv.real
+    return nu1, flat_ratio, block_measures, len(chains)
+
+
+def _eta_weights(lab, group, a, y, u_part, u_next, p, j, r_prime, x):
+    """Block measure eta^q: weights over the admissible p-word first parts.
+
+    The atom of a p-word choice is the l-step cocycle (y, p-word, u_part[:-1]);
+    the coefficient E is the Birkhoff f-sum prescribed for the block position
+    (full dependence on x for the innermost block, omega-cut otherwise).
+    """
+    from thinlab import symbolic
+    from thinlab.congruence import cocycle_mod
+    from thinlab.symbolic import SymbolicPoint, enumerate_words, omega_tail
+
+    model = lab.model
+    pot = lab.potential(a)
+    pwords = enumerate_words(model.T, y, u_part[0], p + 1)
+    eta = np.zeros(group.order)
+    evals = []
+    base = SymbolicPoint(tuple(u_part), omega_tail(model.T, u_part[-1]).period)
+    for w in pwords:
+        pw = w[1:-1]
+        if j == 1:
+            _, _, fE = symbolic.birkhoff(pot, u_next + pw + u_part, x)
+        elif j < r_prime:
+            _, _, fE = symbolic.birkhoff(pot, u_next + pw, base)
+        else:
+            _, _, fE = symbolic.birkhoff(pot, pw, base)
+        E = float(np.exp(fE))
+        evals.append(E)
+        atom_word = (y,) + pw + u_part[:-1]
+        eta[cocycle_mod(model, atom_word, group)] += E
+    return eta, evals

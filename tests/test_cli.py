@@ -92,8 +92,10 @@ def test_config_non_integer_degree_exits_2(tmp_path, capsys):
     ({"generators": [1, 2]}, "generators"),  # no TypeError traceback
     ({"out_dir": 5}, "out_dir"),            # refused before the computation, not by os.makedirs
     ({"out_dir": None}, "out_dir"),
+    ({"p": 0}, "p must be >= 1"),           # the config keys are checked as the flags are
+    ({"l": -1}, "l must be >= 1"),
 ], ids=["unknown_key", "q_scalar", "q_float", "no_generators", "generators_not_matrices",
-        "out_dir_int", "out_dir_null"])
+        "out_dir_int", "out_dir_null", "p_zero", "l_negative"])
 def test_config_bad_keys_exit_2(tmp_path, capsys, extra, message):
     path = tmp_path / "G.json"
     path.write_text(json.dumps({k: v for k, v in dict(EXAMPLE, **extra).items() if v is not DROP}))
@@ -144,11 +146,22 @@ def test_unread_flag_rejected(config, capsys, command, flag):
 @pytest.mark.parametrize("args, message", [
     (["--q", "10"], "NotGenerating:"),      # S(0, 0, 3) closes up mod 10 at 120 < 720 elements
     (["--q", "5", "--a", "0.05"], "a0'"),  # the measured constants cover |a| < 0.05 only
-], ids=["non_generating", "a_at_a0p"])
+    (["--l", "0"], "ConfigParse: l must be >= 1"),  # a ZeroDivisionError traceback, not a refusal
+    (["--l", "-1", "--q", "5"], "ConfigParse: l must be >= 1"),  # printed curves for a meaningless schedule
+    (["--p", "0"], "ConfigParse: p must be >= 1"),
+], ids=["non_generating", "a_at_a0p", "l_zero", "l_negative", "p_zero"])
 def test_decay_refusals_exit_2(config, tmp_path, capsys, args, message):
     code = main(["decay", "--config", config, "--p", "3", "--depth", "3", "--out", str(tmp_path / "out")] + args)
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_flatten_refuses_zero_block_length(config, tmp_path, capsys):
+    # l = 0 must be refused before r % l divides by it
+    out = tmp_path / "out"
+    assert main(["flatten", "--config", config, "--p", "3", "--l", "0", "--r", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("ConfigParse: l must be >= 1")
+    assert not os.path.exists(out)
 
 
 def test_rpf_takes_a_past_a0p(config, tmp_path, capsys):

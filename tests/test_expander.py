@@ -28,6 +28,7 @@ from thinlab.thermo import Walk
 from oracles import (
     approx_residuals_per_tail,
     build_measures_fresh,
+    build_nu1_chains,
     cayley_lambda2_power,
     closure_size_bfs,
     conv_opnorm_lanczos,
@@ -324,7 +325,7 @@ def test_nu1_atom_identity(model, lab, groups):
     x = sym.point((0,), (1,))
     tail = (1, 1)
     pot = lab.potential(0.0)
-    nu1, flat_ratio, blocks, n_chains = _build_nu1(lab, g5, x, r_prime, l, p, tail, 0.0)
+    nu1, flat_ratio, blocks = _build_nu1(lab, g5, x, r_prime, l, p, tail, 0.0)
 
     direct = np.zeros(g5.order)
     heads = [w for w in sym.all_words(model.T, r) if model.T[w[-1], x.first]
@@ -344,6 +345,43 @@ def test_nu1_atom_identity(model, lab, groups):
             coc = coc @ model.gens[jsym]
         direct[g5.reduce(coc)] += np.exp(f1) * np.exp(f2)
     assert np.abs(nu1 - direct).max() <= 1e-12 * max(1.0, direct.max())
+
+
+# p = 0 leaves some blocks without a p-word, which cuts the chains through them
+@pytest.mark.parametrize("q, r_prime, l, p", [(5, 3, 4, 3), (7, 2, 4, 3), (5, 2, 5, 3), (5, 2, 3, 1), (5, 3, 2, 0)])
+def test_nu1_matches_chain_oracle(lab, groups, q, r_prime, l, p):
+    # the per-position sum and the per-block walks against every chain and every word
+    g = groups(q)
+    x = sym.point((0,), (1,))
+    nu1, flat_ratio, blocks = ex._build_nu1(lab, g, x, r_prime, l, p, (0, 0), 0.0)
+    want, want_ratio, want_blocks, _ = build_nu1_chains(lab, g, x, r_prime, l, p, (0, 0), 0.0)
+    assert np.abs(nu1 - want).max() <= 1e-12 * want.max()
+    assert abs(flat_ratio - want_ratio) <= 1e-12 * want_ratio
+    assert [key for key, _ in blocks] == [key for key, _ in want_blocks]
+    for (key, eta), (_, want_eta) in zip(blocks, want_blocks):
+        assert np.abs(eta - want_eta).max() <= 1e-12 * want_eta.max(), key
+
+
+@pytest.mark.parametrize("r_prime, n_blocks", [(3, 32), (5, 64)])
+def test_nu1_builds_each_block_once(lab, groups, monkeypatch, r_prime, n_blocks):
+    # q = 7, l = 4, p = 3: 12 blocks at position 1 (3 first parts under 4 parts),
+    # 16 at each middle position and 4 at the last; listing the chains instead
+    # evaluates 144 blocks at r' = 3 and 3,840 at r' = 5
+    calls = {"walk": 0, "convolve": 0}
+    walk, convolve = ex._walk, cg.GroupModQ.convolve_fn
+
+    def counted_walk(*args):
+        calls["walk"] += 1
+        return walk(*args)
+
+    def counted_convolve(*args):
+        calls["convolve"] += 1
+        return convolve(*args)
+
+    monkeypatch.setattr(ex, "_walk", counted_walk)
+    monkeypatch.setattr(cg.GroupModQ, "convolve_fn", counted_convolve)
+    ex._build_nu1(lab, groups(7), sym.point((0,), (1,)), r_prime, 4, 3, (0, 0), 0.0)
+    assert calls == {"walk": n_blocks, "convolve": n_blocks}
 
 
 def test_flattening_pipeline_passes(model, lab, groups, expansion):
