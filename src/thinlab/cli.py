@@ -7,8 +7,8 @@ identical configs and seeds reproduce them byte for byte.  Floats print with
 
 Every eigenvalue a subcommand prints comes from a dense LAPACK solve (the
 pressure root delta, the RPF data and gap, the twisted radius, convolution
-norms) or from one Lanczos solve (Cayley gaps).  Each is residual-checked; a
-failed check or an unconverged solve exits with EXIT_NUMERICAL.
+norms and Cayley gaps).  Each is residual-checked; a failed check or an
+unconverged solve exits with EXIT_NUMERICAL.
 """
 
 import argparse
@@ -175,7 +175,7 @@ def cmd_cayley(cfg, model, args):
 
     def one(q):
         group = congruence.GroupModQ.build(q)
-        lam1, lam2, eps = expander.cayley_gap(S, group, seed=cfg.seed)
+        lam1, lam2, eps = expander.cayley_gap(S, group)
         return [q, fmt(lam1), fmt(lam2), fmt(eps)]
 
     body = csv_body(["q", "degree", "lambda2", "epsilon"], _pmap(one, qs))
@@ -294,7 +294,7 @@ def build_parser():
     command("validate", None)
     command("delta", cmd_delta, "out", "degree")
     command("rpf", cmd_rpf, "out", "degree").add_argument("--a", type=float, default=0.0)
-    command("cayley", cmd_cayley, "out", "seed", "p", "q")
+    command("cayley", cmd_cayley, "out", "p", "q")
     p_fl = command("flatten", cmd_flatten, "out", "degree", "seed", "p", "l", "q")
     p_fl.add_argument("--r", type=int, required=True)
     p_fl.add_argument("--b", type=float, default=0.3)

@@ -18,7 +18,6 @@ from .thermo import Walk
 
 MAX_ORDER = 10**6
 MAX_DECOMP_ORDER = 10**5
-MAX_BLOCK_ENTRIES = 10**8  # coset_table entries, order^2 / o (about 2.4 GB with conv_opnorm's blocks)
 NEW_SPACE_TOL = 1e-9  # relative spread of a fiber that proj_down accepts as constant
 
 
@@ -74,7 +73,7 @@ class GroupModQ:
         self.keys = keys[sort]
         self.order = elems.shape[0]
         self._inv_perm = None
-        self._coset_table = None
+        self._coords = None
         self._perm_cache = {}
         self.identity = int(self.index_of(np.array([1, 0, 0, 1], dtype=np.int64)))
 
@@ -123,26 +122,22 @@ class GroupModQ:
             self._inv_perm = self.index_of(inv)
         return self._inv_perm
 
-    def coset_table(self):
-        """T[t, j, i] = index of k_j^{-1} c^t k_i (cached) for c = [[-1, -1], [0, -1]] of order
-        o, k_0 = e (the smallest element of <c>) and k_1 < k_2 < ... the smallest of the
-        other cosets <c> g, so T[:, 0, :] indexes c^t k_i.  Built one t at a time, after
-        refusing more than MAX_BLOCK_ENTRIES entries with TooLarge."""
-        if self._coset_table is None:
-            o = self.q if self.q % 2 == 0 else 2 * self.q  # c has order 2p mod odd p, 2 mod 2
-            if self.order**2 // o > MAX_BLOCK_ENTRIES:
-                raise TooLarge(f"the coset table of SL2(Z/{self.q}) has {self.order**2 // o} entries "
-                               f"> {MAX_BLOCK_ENTRIES}")
-            left_c = self.left_mul_perm(self.index_of(np.array([-1, -1, 0, -1])))
-            orbit = [np.arange(self.order)]  # orbit[t][g] = index of c^t g
-            while left_c[orbit[-1][0]] != 0:  # until c^{t+1} = e
-                orbit.append(left_c[orbit[-1]])
-            reps = np.flatnonzero(np.min(orbit, axis=0) == orbit[0])
-            reps = np.concatenate([[self.identity], reps[reps != self.identity]])
-            k_inv = self.elems[self.inv_perm()[reps]][:, None, :]
-            self._coset_table = np.stack([self.index_of(self._compose(k_inv, self.elems[row[reps]][None]))
-                                          for row in orbit])
-        return self._coset_table
+    def coset_coords(self):
+        """(cells, t, i) for c = [[-1, -1], [0, -1]] of order o (cached): element g = cells[t, i]
+        is c^t k_i, t[g] and i[g] are its coordinates, k_0 = e (the smallest element of <c>)
+        and k_1 < k_2 < ... are the smallest elements of the other cosets <c> g."""
+        if self._coords is None:
+            left_c = self.index_of(self._compose(self.elems[self.index_of(np.array([-1, -1, 0, -1]))], self.elems))
+            low, power = np.arange(self.order), left_c  # power[g] = index of c^t g, t = 1, 2, ...
+            while power[self.identity] != self.identity:
+                low, power = np.minimum(low, power), left_c[power]
+            reps = np.flatnonzero(low == np.arange(self.order))
+            cells = [np.concatenate([[self.identity], reps[reps != self.identity]])]
+            while left_c[cells[-1][0]] != self.identity:
+                cells.append(left_c[cells[-1]])
+            cells = np.stack(cells)
+            self._coords = (cells, *np.divmod(np.argsort(cells, axis=None), cells.shape[1]))
+        return self._coords
 
     def left_mul_perm(self, i):
         """Permutation g -> elem_i * g as an index array (cached)."""

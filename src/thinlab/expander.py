@@ -15,12 +15,12 @@ import numpy as np
 from . import congruence, symbolic
 from .congruence import GroupModQ, cf_lip, cocycle_mod, mean_zero_projector, new_space_projector
 from .errors import (DepthExhausted, EnumerationTooLarge, GroupTooSmall, InadmissibleWord, ModulusMismatch,
-                     NoConvergence, NotGenerating)
+                     NoConvergence, NotGenerating, TooLarge)
 from .symbolic import SymbolicPoint, all_words, enumerate_words, omega_tail
 from .thermo import RESIDUAL_TOL, Walk
 
 SVD_ORDER = 336           # |SL2(Z/7)|, the largest order criterion 7 runs dense
-LANCZOS_TOL = 1e-12
+MAX_BLOCK_ENTRIES = 10**8  # entries of conv_opnorm's blocks, order^2 / o (1.6 GB)
 RETURN_SET_CAP = 200_000  # word pairs of one return set
 P_MAX = 4                 # highest return level detect_expansion tries
 
@@ -125,39 +125,14 @@ def detect_expansion(model, qs):
     return {"p": p, "q0_primes": sorted(bad), "per_q_level": works}
 
 
-def _lanczos_top(matvec, n, k, dtype, seed):
-    """The k largest (algebraic) eigenvalues, ascending, of the symmetric or
-    Hermitian operator `matvec` on n-vectors, from one ARPACK Lanczos solve.
-
-    Each returned pair must satisfy ||A v - lam v|| <= RESIDUAL_TOL * max|lam|;
-    otherwise, or when ARPACK stops unconverged, NoConvergence.
-    """
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    if np.dtype(dtype).kind == "c":
-        v0 = v0 + 1j * rng.standard_normal(n)
-    try:
-        vals, vecs = eigsh(LinearOperator((n, n), matvec=matvec, dtype=dtype), k=k, which="LA",
-                           tol=LANCZOS_TOL, v0=v0)
-    except ArpackNoConvergence as exc:
-        raise NoConvergence(f"Lanczos did not converge: {exc}") from exc
-    scale = float(np.abs(vals).max())
-    for lam, v in zip(vals, vecs.T):
-        residual = float(np.linalg.norm(matvec(v) - lam * v))
-        if not residual <= RESIDUAL_TOL * scale:
-            raise NoConvergence(f"Lanczos residual {residual:.3e} exceeds {RESIDUAL_TOL:g} * {scale:.6g}")
-    return vals
-
-
-def cayley_gap(S, group, seed=0):
-    """(lambda_1, lambda_2, eps) of the Cayley graph of the reduced return set.
-
-    lambda_1 is the degree exactly; lambda_2 is the largest (signed) adjacency
-    eigenvalue on the orthocomplement of constants, from a Lanczos solve of the
-    (symmetric) adjacency operator.
-    """
+def cayley_gap(S, group, seed=0):  # seed is unread; perfbench's expansion workload still passes it
+    """(lambda_1, lambda_2, eps) of the Cayley graph of the reduced return set:
+    lambda_1 is the degree exactly, lambda_2 the largest (signed) adjacency eigenvalue
+    off the constants.  Adjacency commutes with left translation by the c of
+    group.coset_coords(), so <c>'s characters chi split it into m x m blocks (block
+    o - chi conjugate to block chi) whose entry (j, i) sums exp(2 pi i chi t / o) over
+    the neighbours k_j s^{-1} = c^t k_i.  Block 0's top must be the degree and the
+    lifted lambda_2 eigenvector must pass one adjacency residual check."""
     if group.order <= 2:
         raise GroupTooSmall(f"SL2(Z/{group.q}) has order {group.order}; a Cayley gap needs at least 3 elements")
     ok, cert = generates_full(S, group)
@@ -165,10 +140,28 @@ def cayley_gap(S, group, seed=0):
         raise NotGenerating(f"return set closes up at {cert['closure_size']} < {group.order}")
     gens = reduced_generator_indices(S, group)
     deg = len(gens)
-    perms = np.stack([group.act(i) for i in gens])
-    lam2 = float(_lanczos_top(lambda v: v[perms].sum(axis=0), group.order, 2, float, seed)[0])
-    eps = 1.0 - lam2 / deg
-    return float(deg), lam2, float(eps)
+    cells, t_of, i_of = group.coset_coords()
+    o, m = cells.shape
+    nb = np.stack([group.act(s)[cells[0]] for s in gens], axis=1)  # index of k_j s^{-1}
+    entry, t = (np.arange(m)[:, None] * m + i_of[nb]).ravel(), t_of[nb].ravel()
+    roots = np.exp(2j * np.pi * np.arange(o) / o)
+
+    def block(chi):
+        phase = roots[chi * t % o]
+        return (np.bincount(entry, phase.real, m * m) + 1j * np.bincount(entry, phase.imag, m * m)).reshape(m, m)
+
+    tops = [np.linalg.eigvalsh(block(chi))[-2:] for chi in range(o // 2 + 1)]
+    if not abs(tops[0][-1] - deg) <= RESIDUAL_TOL * deg:
+        raise NoConvergence(f"top of block 0 is {tops[0][-1]:.17g}, not the degree {deg}")
+    second = [tops[0][-2]] + [top[-1] for top in tops[1:]]  # block 0's top is the constants
+    chi = int(np.argmax(second))
+    lam2 = float(second[chi])
+    phi = np.empty(group.order, dtype=complex)
+    phi[cells] = roots[chi * np.arange(o) % o][:, None] * np.linalg.eigh(block(chi))[1][:, -2 if chi == 0 else -1]
+    residual = float(np.linalg.norm(sum(phi[group.act(s)] for s in gens) - lam2 * phi)) / np.sqrt(o)
+    if not residual <= RESIDUAL_TOL * deg:
+        raise NoConvergence(f"lambda_2 block eigenvector residual {residual:.3e} exceeds {RESIDUAL_TOL:g} * {deg}")
+    return float(deg), lam2, float(1.0 - lam2 / deg)
 
 
 # ---- approximating measures ----
@@ -306,9 +299,10 @@ def conv_opnorm(group, weights, projector, svd_cap=SVD_ORDER):
     which must commute with translations (the mean-zero and new-space projectors
     average over normal subgroups), so that the operator is phi -> P(weights) * phi.
     Dense SVD up to svd_cap.  Above it, the operator commutes with left translation
-    by the c of group.coset_table(); the Fourier transform over <c> splits it into
-    m x m blocks, whose largest singular value is the norm.  Lifted to the group,
-    its singular vector must attain the norm, else NoConvergence.
+    by the c of group.coset_coords(); the Fourier transform over <c> splits it into
+    m x m blocks (at most MAX_BLOCK_ENTRIES entries, else TooLarge), whose largest
+    singular value is the norm.  Lifted to the group, its singular vector must
+    attain the norm, else NoConvergence.
     """
     n = group.order
     if n <= svd_cap:
@@ -316,21 +310,32 @@ def conv_opnorm(group, weights, projector, svd_cap=SVD_ORDER):
         # projecting the rows right-multiplies by the (symmetric) projector matrix
         MP = projector(M)
         return float(np.linalg.svd(MP, compute_uv=False)[0])
-    table = group.coset_table()
-    o = table.shape[0]
-    # F[chi, j, i] is the (i, j) entry of the block of character chi
-    F = projector(weights)[table]
+    cells = _block_cells(group)
+    o, m = cells.shape
+    # F[t, j, i] = P(weights)(k_j^{-1} c^t k_i); transformed, F[chi] is block chi transposed
+    pw = projector(weights)
+    F = np.empty((o, m, m), dtype=complex)
+    for j, k_inv in enumerate(group.inv_perm()[cells[0]]):
+        F[:, j, :] = pw[group.left_mul_perm(k_inv)[cells]]
     np.fft.fft(F, axis=0, out=F)
     chi = int(np.argmax(np.linalg.svd(F, compute_uv=False)[:, 0]))
     u, sv, _ = np.linalg.svd(F[chi])
     del F  # before convolve_fn fills the permutation cache
     sigma = float(sv[0])
     phi = np.empty(n, dtype=complex)
-    phi[table[:, 0, :]] = np.exp(2j * np.pi * chi * np.arange(o) / o)[:, None] * np.conj(u[:, 0]) / np.sqrt(o)
+    phi[cells] = np.exp(2j * np.pi * chi * np.arange(o) / o)[:, None] * np.conj(u[:, 0]) / np.sqrt(o)
     attained = float(np.linalg.norm(projector(group.convolve_fn(weights, phi))))
     if not abs(attained - sigma) <= RESIDUAL_TOL * sigma:
         raise NoConvergence(f"block singular vector attains {attained:.17g}, not the block norm {sigma:.17g}")
     return sigma
+
+
+def _block_cells(group):
+    """group.coset_coords()'s cells, once conv_opnorm's o x m x m blocks fit in MAX_BLOCK_ENTRIES."""
+    cells = group.coset_coords()[0]
+    if (n := cells.size * cells.shape[1]) > MAX_BLOCK_ENTRIES:
+        raise TooLarge(f"the <c>-blocks of SL2(Z/{group.q}) have {n} entries > {MAX_BLOCK_ENTRIES}")
+    return cells
 
 
 # ---- flattening pipeline ----
@@ -379,18 +384,13 @@ def flattening_pipeline(lab, group, x, r_prime, l, p, xi=0.3j, gaps=None, seed=0
         raise ValueError(f"need l > p, got l = {l}, p = {p}")
     if r_prime < 2:
         raise ValueError("block decomposition needs r' >= 2")
+    if group.order > svd_cap:
+        _block_cells(group)  # refuse a group too large for conv_opnorm before the walks and gaps
     r = r_prime * l
     s = r + 2  # the tail is the first admissible 2-symbol word
     tail = all_words(model.T, s - r)[0]
 
-    gap_cache = dict(gaps) if gaps else {}
-
-    def gap_eps(y, z):
-        if (y, z) not in gap_cache:
-            S = build_return_set(model, y, z, p)
-            gap_cache[(y, z)] = cayley_gap(S, group, seed=seed)
-        return gap_cache[(y, z)][2]
-
+    gaps = gaps or {}
     meas = build_measures(lab, group, x, r, s, tail, xi)
     mu, nu0, mu_hat, nu = meas["mu"], meas["nu0"], meas["mu_hat"], meas["nu"]
     entries = {}
@@ -427,7 +427,8 @@ def flattening_pipeline(lab, group, x, r_prime, l, p, xi=0.3j, gaps=None, seed=0
     c_bound_worst = 0.0
     deficit_min = np.inf
     for (yz, eta) in block_measures:
-        eps = gap_eps(*yz)
+        # one block per key (y, z), so each gap is taken once
+        eps = (gaps[yz] if yz in gaps else cayley_gap(build_return_set(model, *yz, p), group))[2]
         eps_used.append(eps)
         l1 = np.abs(eta).sum()
         if l1 == 0:

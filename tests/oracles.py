@@ -149,8 +149,8 @@ def min_nontrivial_irrep_dim(group, seed=0):
 
 def cayley_lambda2_power(group, gens, tol=1e-12, max_iter=100_000, seed=0):
     """Second adjacency eigenvalue of the Cayley graph on `gens` by a shifted
-    power iteration projected off the constants.  Independent of the Lanczos
-    solve in cayley_gap, but slow when lambda_2 and lambda_3 are close."""
+    power iteration projected off the constants.  Independent of the character
+    blocks of cayley_gap, but slow when lambda_2 and lambda_3 are close."""
     deg = len(gens)
     perms = np.stack([group.act(i) for i in gens])
 
@@ -402,16 +402,23 @@ def measure_constants_per_point(lab):
 def conv_opnorm_lanczos(group, weights, projector, seed=0):
     """Operator norm of phi -> weights * phi on the range of `projector`, as the
     square root of the top eigenvalue of the Hermitian P mu~* mu P from one
-    Lanczos solve of group convolutions.  An oracle for the block SVDs of
-    expander.conv_opnorm, which use neither the Gram operator nor Lanczos."""
-    from thinlab.expander import _lanczos_top
+    ARPACK Lanczos solve of group convolutions, residual-checked.  An oracle for
+    the block SVDs of expander.conv_opnorm, which use neither the Gram operator
+    nor Lanczos."""
+    from scipy.sparse.linalg import LinearOperator, eigsh
 
     star = np.conj(weights[group.inv_perm()])
 
     def gram(v):
         return projector(group.convolve_fn(star, group.convolve_fn(weights, projector(v))))
 
-    lam = float(_lanczos_top(gram, group.order, 1, complex, seed)[0])
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
+    n = group.order
+    vals, vecs = eigsh(LinearOperator((n, n), matvec=gram, dtype=complex), k=1, which="LA", tol=1e-12, v0=v0)
+    lam, v = float(vals[0]), vecs[:, 0]
+    residual = float(np.linalg.norm(gram(v) - lam * v))
+    assert residual <= 1e-10 * abs(lam), f"Lanczos residual {residual:.3e} at eigenvalue {lam:.6g}"
     return float(np.sqrt(max(lam, 0.0)))
 
 

@@ -74,7 +74,7 @@ def _block_gaps(acc, q):
         for y in range(model.N):
             for z in range(model.N):
                 S = build_return_set(model, y, z, p)
-                gaps[(y, z)] = cayley_gap(S, group, seed=SEED)
+                gaps[(y, z)] = cayley_gap(S, group)
         acc["gaps"][q] = gaps
     return acc["gaps"][q]
 
@@ -256,7 +256,7 @@ def _criterion6_body(acc):
         group = acc["groups"](q)
         gen_ok, cert = generates_full(S, group)
         ok = ok and gen_ok
-        lam1, lam2, eps = cayley_gap(S, group, seed=SEED)
+        lam1, lam2, eps = cayley_gap(S, group)
         ok = ok and lam1 == len(ex.reduced_generator_indices(S, group)) and eps > 0
         eps_seen.append(eps)
         rows.append([q, fmt(lam1), fmt(lam2), fmt(eps)])

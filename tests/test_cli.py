@@ -131,7 +131,7 @@ def test_flatten_rejects_several_moduli(config, tmp_path, capsys):
 # required flag from masking the rejection
 UNREAD = [("validate", f) for f in ("out", "degree", "depth", "seed", "p", "l", "q")] \
     + [(c, f) for c in ("delta", "rpf", "twist") for f in ("depth", "seed", "p", "l", "q")] \
-    + [("cayley", f) for f in ("degree", "depth", "l")] + [("flatten", "depth")]
+    + [("cayley", f) for f in ("degree", "depth", "seed", "l")] + [("flatten", "depth")]
 
 
 @pytest.mark.parametrize("command, flag", UNREAD, ids=[f"{c}-{f}" for c, f in UNREAD])
@@ -161,6 +161,15 @@ def test_flatten_refuses_zero_block_length(config, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["flatten", "--config", config, "--p", "3", "--l", "0", "--r", "8", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("ConfigParse: l must be >= 1")
+    assert not os.path.exists(out)
+
+
+def test_flatten_refuses_oversized_blocks_first(config, tmp_path, capsys):
+    # SL2(Z/77) has 443,520 elements: its <c>-blocks (154 x 2880 x 2880) are refused
+    # before any walk or Cayley gap runs
+    out = tmp_path / "out"
+    assert main(["flatten", "--config", config, "--q", "77", "--p", "3", "--r", "8", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("TooLarge: the <c>-blocks of SL2(Z/77) have 1277337600 entries")
     assert not os.path.exists(out)
 
 
@@ -252,7 +261,7 @@ def test_each_command_prints_and_writes_its_artifacts(config, tmp_path, capsys, 
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy costs a third of a second to import; only Lanczos solves need it
+    # scipy costs a third of a second to import; only CongruenceOperator's sparse shift needs it
     code = "import sys, thinlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = str(Path(thinlab.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
