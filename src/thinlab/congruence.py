@@ -3,7 +3,8 @@ operators on depth-D cylinders, and the new-vector decomposition.
 
 Fibers are stored dense, indexed by the canonical (sorted-key) element order of
 GroupModQ.  The fiber action of a branch step is GroupModQ.act: convolution
-with the delta at the reduced cocycle, (delta_c * phi)(g) = phi(g c^{-1}).
+with the delta at the reduced cocycle, (delta_c * phi)(g) = phi(g c^{-1}), a
+cached index permutation built in GroupModQ.coset_coords' coordinates.
 q = 1 is a sentinel with a one-element group, so scalar and congruence code
 paths coincide.
 """
@@ -73,7 +74,7 @@ class GroupModQ:
         self.keys = keys[sort]
         self.order = elems.shape[0]
         self._inv_perm = None
-        self._coords = None
+        self._coords = self._cells2 = None
         self._perm_cache = {}
         self.identity = int(self.index_of(np.array([1, 0, 0, 1], dtype=np.int64)))
 
@@ -125,9 +126,10 @@ class GroupModQ:
     def coset_coords(self):
         """(cells, t, i) for c = [[-1, -1], [0, -1]] of order o (cached): element g = cells[t, i]
         is c^t k_i, t[g] and i[g] are its coordinates, k_0 = e (the smallest element of <c>)
-        and k_1 < k_2 < ... are the smallest elements of the other cosets <c> g."""
+        and k_1 < k_2 < ... are the smallest elements of the other cosets <c> g; act works in them."""
         if self._coords is None:
-            left_c = self.index_of(self._compose(self.elems[self.index_of(np.array([-1, -1, 0, -1]))], self.elems))
+            c = np.array([[-1, -1], [0, -1]])
+            left_c = self.index_of((c @ self.elems.reshape(-1, 2, 2)).reshape(-1, 4))
             low, power = np.arange(self.order), left_c  # power[g] = index of c^t g, t = 1, 2, ...
             while power[self.identity] != self.identity:
                 low, power = np.minimum(low, power), left_c[power]
@@ -136,38 +138,37 @@ class GroupModQ:
             while left_c[cells[-1][0]] != self.identity:
                 cells.append(left_c[cells[-1]])
             cells = np.stack(cells)
+            self._cells2 = np.concatenate([cells, cells])  # [t, i] = c^t k_i for t < 2o, so shifts need no mod
             self._coords = (cells, *np.divmod(np.argsort(cells, axis=None), cells.shape[1]))
         return self._coords
 
     def left_mul_perm(self, i):
-        """Permutation g -> elem_i * g as an index array (cached)."""
+        """Permutation g -> elem_i * g as an index array (cached), read off act(i)."""
         return self._perm("l", i)
 
     def act(self, c):
         """The fiber action of c: the index permutation p with
-        (delta_c * phi)(g) = phi(g c^{-1}) = phi[p][g] (cached)."""
+        (delta_c * phi)(g) = phi(g c^{-1}) = phi[p][g] (cached).  It commutes with the left
+        action of coset_coords' <[[-1, -1], [0, -1]]>, so p takes only m lookups, of k_j c^{-1}."""
         return self._perm("a", c)
 
     def _perm(self, side, i):
         key = (side, int(i))
         perm = self._perm_cache.get(key)
         if perm is None:
-            # keep the cache under ~200 MB regardless of group size
+            # at most 25,000,000 cached indices (200 MB) whatever the group size; an "l" key also caches its "a"
             if len(self._perm_cache) >= max(64, min(4096, 25_000_000 // self.order)):
                 self._perm_cache.clear()
-            if side == "l":
-                prod = self._compose(self.elems[i][None, :], self.elems)
+            if side == "l":  # x g = (g^{-1} x^{-1})^{-1}
+                perm = self.inv_perm()[self.act(i)[self.inv_perm()]]
             else:
-                prod = self._compose(self.elems, self.elems[self.inv_perm()[i]][None, :])
-            perm = self._perm_cache[key] = self.index_of(prod)
+                cells, t_of, i_of = self.coset_coords()
+                h_inv = (self.elems[i][[3, 1, 2, 0]] * [1, -1, -1, 1]).reshape(2, 2)
+                # shift[j] = k_j h^{-1} = c^{t'} k_{j'}, so c^t k_j h^{-1} = c^{t + t'} k_{j'}
+                shift = self.index_of((self.elems[cells[0]].reshape(-1, 2, 2) @ h_inv).reshape(-1, 4))
+                perm = self._cells2[t_of + t_of[shift][i_of], i_of[shift][i_of]]
+            self._perm_cache[key] = perm
         return perm
-
-    def _compose(self, x, y):
-        a = x[..., 0] * y[..., 0] + x[..., 1] * y[..., 2]
-        b = x[..., 0] * y[..., 1] + x[..., 1] * y[..., 3]
-        c = x[..., 2] * y[..., 0] + x[..., 3] * y[..., 2]
-        d = x[..., 2] * y[..., 1] + x[..., 3] * y[..., 3]
-        return np.stack([a, b, c, d], axis=-1) % self.q
 
     # ---- convolution ----
 

@@ -101,6 +101,25 @@ def sl2_count_bruteforce(q):
     return int(np.count_nonzero((a * d - b * c) % q == 1))
 
 
+def compose_mod(x, y, q):
+    """Entrywise 2 x 2 products of (..., 4) residue arrays, reduced mod q."""
+    a = x[..., 0] * y[..., 0] + x[..., 1] * y[..., 2]
+    b = x[..., 0] * y[..., 1] + x[..., 1] * y[..., 3]
+    c = x[..., 2] * y[..., 0] + x[..., 3] * y[..., 2]
+    d = x[..., 2] * y[..., 1] + x[..., 3] * y[..., 3]
+    return np.stack([a, b, c, d], axis=-1) % q
+
+
+def fiber_perms_full_group(group, h):
+    """(act(h), left_mul_perm(h)) from one explicit product per group element:
+    g -> g elem_h^{-1} and g -> elem_h g, each located by index_of."""
+    a, b, c, d = group.elems[h]
+    h_inv = np.array([d, -b, -c, a]) % group.q
+    act = group.index_of(compose_mod(group.elems, h_inv[None, :], group.q))
+    left = group.index_of(compose_mod(group.elems[h][None, :], group.elems, group.q))
+    return act, left
+
+
 def min_nontrivial_irrep_dim(group, seed=0):
     """Smallest nontrivial irreducible dimension of the regular representation,
     from the eigenspace multiplicities of a generic symmetric class-sum operator

@@ -173,6 +173,15 @@ def test_flatten_refuses_oversized_blocks_first(config, tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_cayley_refuses_oversized_blocks_first(config, tmp_path, capsys):
+    # the Cayley blocks of SL2(Z/77) (78 of 2880 x 2880) fall under the same cap,
+    # checked before the closure and any eigenvalue solve
+    out = tmp_path / "out"
+    assert main(["cayley", "--config", config, "--q", "77", "--p", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("TooLarge: the <c>-blocks of SL2(Z/77) have 1277337600 entries")
+    assert not os.path.exists(out)
+
+
 def test_rpf_takes_a_past_a0p(config, tmp_path, capsys):
     # a0' bounds the normalized potentials, not the raw RPF data
     assert main(["rpf", "--config", config, "--a", "0.3", "--out", str(tmp_path / "out")]) == 0

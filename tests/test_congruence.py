@@ -11,7 +11,7 @@ from thinlab import (
 from thinlab import congruence as cg
 from thinlab.errors import ModulusMismatch, NotInNewSpace, NotSquareFree, TooLarge
 
-from oracles import congruence_apply_branches, sl2_count_bruteforce
+from oracles import compose_mod, congruence_apply_branches, fiber_perms_full_group, sl2_count_bruteforce
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 6, 7, 10, 15])
@@ -32,7 +32,7 @@ def test_group_closed_under_multiplication_and_inverse(groups):
     rng = np.random.default_rng(0)
     i = rng.integers(g.order, size=200)
     j = rng.integers(g.order, size=200)
-    prod = g._compose(g.elems[i], g.elems[j])
+    prod = compose_mod(g.elems[i], g.elems[j], g.q)
     g.index_of(prod)  # raises if any product is missing
     g.index_of(g.elems[g.inv_perm()])
 
@@ -61,7 +61,7 @@ def test_cocycle_mod_long_word(model, groups):
     word = (0, 1) * 20
     idx = g.identity
     for j in word:
-        idx = int(g.index_of(g._compose(g.elems[idx], g.elems[cocycle_mod(model, (j,), g)])))
+        idx = int(g.index_of(compose_mod(g.elems[idx], g.elems[cocycle_mod(model, (j,), g)], g.q)))
     assert cocycle_mod(model, word, g) == idx
 
 
@@ -78,7 +78,7 @@ def test_cocycle_reduction_is_homomorphism(model, groups):
         alpha, beta = tuple(word[:cut]), tuple(word[cut:])
         ia = cocycle_mod(model, alpha, g)
         ib = cocycle_mod(model, beta, g)
-        combined = g.index_of(g._compose(g.elems[ia], g.elems[ib]))
+        combined = g.index_of(compose_mod(g.elems[ia], g.elems[ib], g.q))
         assert combined == cocycle_mod(model, tuple(word), g)
 
 
@@ -172,6 +172,37 @@ def test_act_is_right_multiplication_by_the_inverse(q):
         delta = np.zeros(g.order)
         delta[c] = 1.0
         assert np.array_equal(g.convolve_fn(delta, phi), phi[g.act(c)])
+
+
+@pytest.mark.parametrize("q, n_sampled", [(1, None), (2, None), (3, None), (5, None), (6, None),
+                                            (10, None), (15, None), (35, 200)])
+def test_fiber_perms_match_full_group_products(q, n_sampled):
+    # act and left_mul_perm, built in coset coordinates, against one explicit
+    # product per element: every h, or n_sampled seeded h
+    g = GroupModQ.build(q)
+    hs = range(g.order) if n_sampled is None else np.random.default_rng(q).integers(g.order, size=n_sampled)
+    for h in hs:
+        act, left = fiber_perms_full_group(g, h)
+        assert np.array_equal(g.act(h), act)
+        assert np.array_equal(g.left_mul_perm(h), left)
+
+
+def test_act_looks_up_one_product_per_coset(monkeypatch):
+    # with the coordinates built, one act at q = 15 looks up m = 2880 / 30 = 96
+    # matrices, not one per element
+    g = GroupModQ.build(15)
+    cells = g.coset_coords()[0]
+    assert cells.shape == (30, 96)
+    sizes = []
+    index_of = g.index_of
+
+    def counted(flat):
+        sizes.append(np.asarray(flat).size // 4)
+        return index_of(flat)
+
+    monkeypatch.setattr(g, "index_of", counted)
+    g.act(1234)
+    assert sizes and max(sizes) <= 96
 
 
 def test_prime_decomposition_is_mean_zero(groups):
