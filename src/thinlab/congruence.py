@@ -183,7 +183,7 @@ class GroupModQ:
 
     def convolution_matrix(self, weights):
         """Dense matrix of phi -> weights * phi."""
-        M = np.zeros((self.order, self.order), dtype=complex)
+        M = np.zeros((self.order, self.order), dtype=np.result_type(weights, float))
         for h in np.flatnonzero(weights):
             M[np.arange(self.order), self.act(h)] += weights[h]
         return M

@@ -20,7 +20,7 @@ from .symbolic import SymbolicPoint, all_words, enumerate_words, omega_tail
 from .thermo import RESIDUAL_TOL, Walk
 
 SVD_ORDER = 336           # |SL2(Z/7)|, the largest order criterion 7 runs dense
-MAX_BLOCK_ENTRIES = 10**8  # entries of conv_opnorm's blocks, order^2 / o (1.6 GB)
+MAX_BLOCK_ENTRIES = 10**8  # conv_opnorm's order^2 / o block entries (1.6 GB complex; a real F plus its rfft alike)
 RETURN_SET_CAP = 200_000  # word pairs of one return set
 P_MAX = 4                 # highest return level detect_expansion tries
 
@@ -303,7 +303,9 @@ def conv_opnorm(group, weights, projector, svd_cap=SVD_ORDER):
     by the c of group.coset_coords(); the Fourier transform over <c> splits it into
     m x m blocks (at most MAX_BLOCK_ENTRIES entries, else TooLarge), whose largest
     singular value is the norm.  Lifted to the group, its singular vector must
-    attain the norm, else NoConvergence.
+    attain the norm, else NoConvergence.  Real (projected) weights keep real
+    arithmetic: a real dense SVD, and blocks chi <= o/2 only, from one rfft, since
+    block o - chi is then the conjugate of block chi, with the same singular values.
     """
     n = group.order
     if n <= svd_cap:
@@ -315,10 +317,13 @@ def conv_opnorm(group, weights, projector, svd_cap=SVD_ORDER):
     o, m = cells.shape
     # F[t, j, i] = P(weights)(k_j^{-1} c^t k_i); transformed, F[chi] is block chi transposed
     pw = projector(weights)
-    F = np.empty((o, m, m), dtype=complex)
+    F = np.empty((o, m, m), dtype=pw.dtype)
     for j, k_inv in enumerate(group.inv_perm()[cells[0]]):
         F[:, j, :] = pw[group.left_mul_perm(k_inv)[cells]]
-    np.fft.fft(F, axis=0, out=F)
+    if np.iscomplexobj(F):
+        np.fft.fft(F, axis=0, out=F)
+    else:
+        F = np.fft.rfft(F, axis=0)
     chi = int(np.argmax(np.linalg.svd(F, compute_uv=False)[:, 0]))
     u, sv, _ = np.linalg.svd(F[chi])
     del F  # before convolve_fn fills the permutation cache
@@ -437,7 +442,7 @@ def flattening_pipeline(lab, group, x, r_prime, l, p, xi=0.3j, gaps=None, seed=0
         deficit = eps**2 / (2.0 * C0_flat**2 * model.N ** (2 * p))
         deficit_min = min(deficit_min, deficit)
         c_bound = float(np.sqrt(max(0.0, 1.0 - deficit)))
-        c_meas = conv_opnorm(group, eta.astype(complex), mean_zero_projector, svd_cap=svd_cap) / l1
+        c_meas = conv_opnorm(group, eta, mean_zero_projector, svd_cap=svd_cap) / l1
         c_meas_worst = max(c_meas_worst, c_meas)
         c_bound_worst = max(c_bound_worst, c_bound)
     entries["eta_contraction"] = {
@@ -447,8 +452,7 @@ def flattening_pipeline(lab, group, x, r_prime, l, p, xi=0.3j, gaps=None, seed=0
     values["eta_bound_deficit"] = float(deficit_min)
 
     # r-step contraction of nu0 on mean-zero vectors
-    ratio_nu = conv_opnorm(group, nu0.weights.astype(complex), mean_zero_projector,
-                           svd_cap=svd_cap) / nu0.l1()
+    ratio_nu = conv_opnorm(group, nu0.weights, mean_zero_projector, svd_cap=svd_cap) / nu0.l1()
     C3 = -np.log(c_bound_worst) if c_bound_worst > 0 else np.inf
     C_walk = float(np.exp((2 * C_est * theta**l - C3) / l))
     entries["walk_contraction"] = {"ratio": ratio_nu, "bound": C_walk**r, "passed": ratio_nu <= C_walk**r}

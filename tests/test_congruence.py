@@ -174,6 +174,21 @@ def test_act_is_right_multiplication_by_the_inverse(q):
         assert np.array_equal(g.convolve_fn(delta, phi), phi[g.act(c)])
 
 
+@pytest.mark.parametrize("q", [5, 6])
+def test_convolution_matrix_keeps_real_weights_real(groups, q):
+    # the weights' floating dtype: integer counts give a float matrix, and a real
+    # matrix is the real part of the complex one
+    g = groups(q)
+    rng = np.random.default_rng(q)
+    counts = rng.integers(0, 3, size=g.order)
+    real, cplx = g.convolution_matrix(counts), g.convolution_matrix(counts.astype(complex))
+    assert real.dtype == np.float64 and cplx.dtype == complex
+    assert np.array_equal(real, cplx.real) and not cplx.imag.any()
+    assert np.array_equal(real, g.convolution_matrix(counts.astype(float)))
+    phi = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+    assert np.allclose(real @ phi, g.convolve_fn(counts, phi), rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("q, n_sampled", [(1, None), (2, None), (3, None), (5, None), (6, None),
                                             (10, None), (15, None), (35, 200)])
 def test_fiber_perms_match_full_group_products(q, n_sampled):

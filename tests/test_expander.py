@@ -401,16 +401,17 @@ def _random_measure(group, atoms, seed):
 
 def test_conv_opnorm_blocks_raise_when_norm_not_attained(groups):
     g13 = groups(13)
-    weights = _random_measure(g13, 50, 16)
-    assert 0.0 < ex.conv_opnorm(g13, weights, cg.mean_zero_projector, svd_cap=0) <= np.abs(weights).sum()
 
-    def zero_first(phi):  # a projector that does not commute with translations
-        out = np.array(phi, dtype=complex)
+    def zero_first(phi):  # a projector that does not commute with translations, in phi's dtype
+        out = np.array(phi)
         out[..., 0] = 0.0
         return out
 
-    with pytest.raises(NoConvergence):
-        ex.conv_opnorm(g13, weights, zero_first, svd_cap=0)
+    # complex weights, then the same measure as real weights, which take the rfft blocks
+    for weights in (_random_measure(g13, 50, 16), _random_measure(g13, 50, 16).real):
+        assert 0.0 < ex.conv_opnorm(g13, weights, cg.mean_zero_projector, svd_cap=0) <= np.abs(weights).sum()
+        with pytest.raises(NoConvergence):
+            ex.conv_opnorm(g13, weights, zero_first, svd_cap=0)
 
 
 def test_conv_opnorm_blocks_refused_before_they_are_filled(monkeypatch):
@@ -448,6 +449,41 @@ def test_conv_opnorm_blocks_match_lanczos_oracle(groups, q):
     for proj in (cg.mean_zero_projector, cg.new_space_projector(g)):
         want = conv_opnorm_lanczos(g, weights, proj)
         assert abs(ex.conv_opnorm(g, weights, proj, svd_cap=0) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("q, svd_cap", [(5, ex.SVD_ORDER), (7, ex.SVD_ORDER), (6, 0), (10, 0), (13, 0), (15, 0)])
+def test_conv_opnorm_real_weights_match_complex(groups, q, svd_cap):
+    """A real measure takes real arithmetic (a real dense SVD, or half the blocks
+    from one rfft), except where the projector returns complex (the new-space
+    projector at composite q); cast to complex, it takes the complex path."""
+    g = groups(q)
+    weights = _random_measure(g, 50, q).real
+    for proj in (cg.mean_zero_projector, cg.new_space_projector(g)):
+        want = ex.conv_opnorm(g, weights.astype(complex), proj, svd_cap=svd_cap)
+        assert abs(ex.conv_opnorm(g, weights, proj, svd_cap=svd_cap) - want) <= 1e-12 * want
+    if svd_cap == 0:
+        want = conv_opnorm_lanczos(g, weights, cg.mean_zero_projector)
+        assert abs(ex.conv_opnorm(g, weights, cg.mean_zero_projector, svd_cap=0) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("q", [6, 13])
+def test_conv_opnorm_real_weights_take_half_the_blocks(groups, monkeypatch, q):
+    # blocks chi and o - chi of a real measure are conjugate: o // 2 + 1 block SVDs instead of o
+    g = groups(q)
+    o, m = g.coset_coords()[0].shape
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        if a.ndim == 3:
+            shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    weights = _random_measure(g, 50, q)
+    ex.conv_opnorm(g, weights.real, cg.mean_zero_projector, svd_cap=0)
+    ex.conv_opnorm(g, weights, cg.mean_zero_projector, svd_cap=0)
+    assert shapes == [(o // 2 + 1, m, m), (o, m, m)]
 
 
 def _shift_eigvalsh(monkeypatch, shift):
