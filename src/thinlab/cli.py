@@ -7,8 +7,8 @@ identical configs and seeds reproduce them byte for byte.  Floats print with
 
 Every eigenvalue a subcommand prints comes from a dense LAPACK solve (the
 pressure root delta, the RPF data and gap, the twisted radius, convolution
-norms and Cayley gaps).  Each is residual-checked; a failed check or an
-unconverged solve exits with EXIT_NUMERICAL.
+norms and Cayley gaps).  All but the convolution norms of a dense SVD are
+residual-checked; a failed check or an unconverged solve exits with EXIT_NUMERICAL.
 """
 
 import argparse
@@ -103,6 +103,18 @@ def load_config(path, args):
     if getattr(args, "out", None):
         cfg.out_dir = args.out
     return cfg, doc
+
+
+def finite_float(text):
+    """The value of a float flag (--a, --b, each entry of twist's --b); inf and
+    nan, like non-numbers, are argument errors, which exit with EXIT_VALIDATION."""
+    if not abs(v := float(text)) < float("inf"):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return v
+
+
+def finite_floats(text):
+    return [finite_float(t) for t in text.split(",")]
 
 
 def write_artifact(out_dir, command, ext, body):
@@ -233,7 +245,7 @@ def cmd_twist(cfg, model, args):
     def one(b):
         return [fmt(b), fmt(decay.twisted_radius(lab, b))]
 
-    body = csv_body(["b", "radius"], _pmap(one, [float(s) for s in str(args.b).split(",")]))
+    body = csv_body(["b", "radius"], _pmap(one, args.b))
     return body, [("twist", "csv", body)]
 
 
@@ -293,15 +305,15 @@ def build_parser():
 
     command("validate", None)
     command("delta", cmd_delta, "out", "degree")
-    command("rpf", cmd_rpf, "out", "degree").add_argument("--a", type=float, default=0.0)
+    command("rpf", cmd_rpf, "out", "degree").add_argument("--a", type=finite_float, default=0.0)
     command("cayley", cmd_cayley, "out", "p", "q")
     p_fl = command("flatten", cmd_flatten, "out", "degree", "seed", "p", "l", "q")
     p_fl.add_argument("--r", type=int, required=True)
-    p_fl.add_argument("--b", type=float, default=0.3)
+    p_fl.add_argument("--b", type=finite_float, default=0.3)
     p_dec = command("decay", cmd_decay, "out", "degree", "depth", "seed", "p", "l", "q")
-    p_dec.add_argument("--a", type=float, default=0.0)
-    p_dec.add_argument("--b", type=float, default=0.0)
-    command("twist", cmd_twist, "out", "degree").add_argument("--b", default="5,20,80",
+    p_dec.add_argument("--a", type=finite_float, default=0.0)
+    p_dec.add_argument("--b", type=finite_float, default=0.0)
+    command("twist", cmd_twist, "out", "degree").add_argument("--b", type=finite_floats, default="5,20,80",
                                                               help="comma-separated twist frequencies")
     p_rep = sub.add_parser("report")
     p_rep.set_defaults(run=cmd_report)

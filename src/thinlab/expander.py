@@ -80,12 +80,6 @@ def generates_full(S, group):
     return closure == group.order, {"closure_size": closure, "n_generators": len(gens)}
 
 
-def check_surjective(model, group):
-    """Strong-approximation probe: do the Schottky generators fill SL2(Z/q)?"""
-    fake = ReturnSet(-1, -1, 0, tuple(model.gens))
-    return generates_full(fake, group)
-
-
 def detect_expansion(model, qs):
     """Smallest level p <= P_MAX whose return sets generate mod every usable q.
 
@@ -99,8 +93,8 @@ def detect_expansion(model, qs):
     works = {}
     for q in qs:
         group = GroupModQ.build(q)
-        ok_surj, _ = check_surjective(model, group)
-        if not ok_surj:
+        # strong approximation: the Schottky generators must fill SL2(Z/q)
+        if not generates_full(ReturnSet(-1, -1, 0, tuple(model.gens)), group)[0]:
             bad.update(p for p, _ in congruence.factorize(q))
             continue
         smallest = None
@@ -235,29 +229,34 @@ def transfer_apply_at(lab, group, H, xi, s, x):
     if s < 1:
         raise ValueError(f"need s >= 1 steps, got s = {s}")
     walk, word, _, _ = _walk(lab, group, x, s, np.empty((1, 0), dtype=np.int64), xi.real)
-    return _word_sum(lab, group, H, xi, x, walk, word)
+    return _word_sum(lab, group, H, H.values, xi, x, walk, word)
 
 
-def _word_sum(lab, group, H, xi, x, walk, word):
-    """The exact word sum of M^s(H)(x) over the leaves of a walk from x that
-    prepended every admissible s-symbol word, given as the rows of `word`."""
-    if H.values.shape[1] != group.order:
-        raise ModulusMismatch(f"fiber values of shape {H.values.shape}, group of order {group.order}")
+def _word_sum(lab, group, H, values, xi, x, walk, word):
+    """The word sum of M^s over the leaves of a walk from x that prepended every
+    admissible s-symbol word, given as the rows of `word`: each leaf adds its
+    weight exp(f + i b tau) times the fiber row of `values` (one row per depth-D
+    cylinder of H) at the leaf's cylinder, under the fiber action of its cocycle."""
+    if values.shape[1] != group.order:
+        raise ModulusMismatch(f"fiber values of shape {values.shape}, group of order {group.order}")
     # a leaf's cylinder: its prepended word, then x's symbols
     fill = np.tile(np.array(x.symbols(H.depth)), (len(word), 1))
     cyl = symbolic.word_rank(H.words, np.concatenate([word, fill], axis=1)[:, : H.depth], lab.model.N)
     weights = np.exp(walk.f + 1j * xi.imag * walk.tau)
     out = np.zeros(group.order, dtype=complex)
     for leaf in range(walk.size()):
-        out += weights[leaf] * H.values[cyl[leaf]][group.act(walk.cidx[leaf])]
+        out += weights[leaf] * values[cyl[leaf]][group.act(walk.cidx[leaf])]
     return out
 
 
 def approx_transfer_check(lab, group, H, xi, r, s):
     """Residual of the measure-convolution approximation of M^s against the
     exact word sum at the anchors (w; omega) over all admissible 2-words w,
-    compared to the bound C_f Lip(H) theta^{s-r}.  Per anchor, one s-step walk
-    over all admissible tails gives the exact sum and every tail's mu."""
+    compared to the bound C_f Lip(H) theta^{s-r}.  Each tail's mu (atoms at its
+    leaves' (r+1)-step cocycles) convolved with H on the tail cylinder (tail +
+    omega tail) under the fiber action of c(tail[:-1]) regroups its leaves, as
+    c(tail[:-1]) times a leaf's atom is the leaf's s-step cocycle; so the residual
+    at an anchor is one word sum, of H less H on each leaf's tail cylinder."""
     if not (0 < r < s):
         raise ValueError("need 0 < r < s and a tail of s - r symbols")
     if s - r > 8:
@@ -271,23 +270,14 @@ def approx_transfer_check(lab, group, H, xi, r, s):
     bound = consts.C_f * lip * consts.theta ** (s - r)
     tails = all_words(model.T, s - r)
     table = np.array(tails)
-    # a tail's cylinder (tail + omega tail) and fiber permutation do not depend on x
-    ext, perms = [], []
-    for tail in tails:
-        ext.append(omega_tail(model.T, tail[-1]).prepend(tail).symbols(H.depth))
-        perms.append(group.act(cocycle_mod(model, tail[:-1], group)))
-    cyls = symbolic.word_rank(H.words, ext, model.N)
+    # each cylinder's tail cylinder: its first s - r symbols, continued by omega
+    ext = [omega_tail(model.T, tail[-1]).prepend(tail).symbols(H.depth) for tail in tails]
+    tail_cyl = symbolic.word_rank(H.words, ext, model.N)[symbolic.word_rank(table, H.words[:, : s - r], model.N)]
+    diff = H.values - H.values[tail_cyl]
     residuals = np.zeros(len(anchors))
     for i, x in enumerate(anchors):
-        walk, word, atoms, _ = _walk(lab, group, x, r, table, xi.real)
-        exact = _word_sum(lab, group, H, xi, x, walk, word)
-        rank = symbolic.word_rank(table, word[:, : s - r], model.N)
-        mu = np.zeros((len(tails), group.order), dtype=complex)
-        np.add.at(mu, (rank, atoms), np.exp(walk.f + 1j * xi.imag * walk.tau))
-        approx = np.zeros(group.order, dtype=complex)
-        for weights, cyl, perm in zip(mu, cyls, perms):
-            approx += group.convolve_fn(weights, H.values[cyl][perm])
-        residuals[i] = np.linalg.norm(exact - approx)
+        walk, word, _, _ = _walk(lab, group, x, r, table, xi.real)
+        residuals[i] = np.linalg.norm(_word_sum(lab, group, H, diff, xi, x, walk, word))
     sup = float(residuals.max())
     ratio = sup / bound if bound > 0 else np.inf if sup > 0 else 0.0
     return {"residuals": residuals, "sup": sup, "bound": bound, "ratio": ratio, "lip": lip}

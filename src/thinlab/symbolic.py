@@ -208,28 +208,22 @@ def birkhoff(potential, alpha, x):
     """Birkhoff sums (tau, cocycle matrix, f^(a)) of word alpha prepended to x.
 
     `potential` carries the normalized-potential data at its parameter a; the
-    cocycle is the exact integer product of step matrices in ascending order
-    (MarkovModel.word_cocycle).
+    sums come from a one-leaf prepend walk (thermo.Walk) stepped one symbol at
+    a time, innermost first, and the cocycle is the exact integer product of
+    step matrices in ascending order (MarkovModel.word_cocycle).
     """
+    from .thermo import Walk  # thermo imports this module
+
     model = potential.model
     alpha = tuple(alpha)
     if len(alpha) == 0:
         return 0.0, IDENTITY, 0.0
-    seq = alpha + (x.first,)
-    if not admissible(model.T, seq):
+    if not admissible(model.T, alpha + (x.first,)):
         raise InadmissibleWord(f"word {alpha} cannot be prepended to x starting at {x.first}")
-    v = eval_point(model, x)  # InadmissibleWord unless x is admissible
-    logh = potential.logh0_at(x.first, v)
-    tau_sum = 0.0
-    f_sum = 0.0
+    walk = Walk.from_point(model, potential, x)  # InadmissibleWord unless x is admissible
     for j in reversed(alpha):
-        v = model.inv_branch(j, v)
-        step_tau = float(model.tau(j, v))
-        logh_new = potential.logh0_at(j, v)
-        tau_sum += step_tau
-        f_sum += potential.f_from_parts(step_tau, logh_new, logh)
-        logh = logh_new
-    return tau_sum, model.word_cocycle(alpha), f_sum
+        walk.step([j])
+    return float(walk.tau[0]), model.word_cocycle(alpha), float(walk.f[0])
 
 
 def lip_quotient_pairs(model, rng, depths, samples_per_depth):

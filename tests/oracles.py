@@ -288,7 +288,8 @@ def approx_residuals_per_tail(lab, group, H, xi, r, s):
     at each anchor the exact sum from transfer_apply_at, then for each tail its
     mu from a fresh walk (build_measures_fresh), convolved with H on the tail's
     cylinder through the tail's fiber action.  A regression oracle for
-    approx_transfer_check, which reads every tail's mu from one walk."""
+    approx_transfer_check, which sums H less H on each leaf's tail cylinder
+    over the leaves of one walk per anchor."""
     from thinlab import symbolic
     from thinlab.congruence import cocycle_mod
     from thinlab.expander import transfer_apply_at
@@ -309,6 +310,71 @@ def approx_residuals_per_tail(lab, group, H, xi, r, s):
         residuals.append(np.linalg.norm(exact - approx))
         exacts.append(exact)
     return np.array(residuals), exacts
+
+
+def approx_residuals_longdouble(lab, group, H, xi, r, s):
+    """approx_transfer_check's residuals in the per-tail form, accumulated in
+    np.clongdouble: at each anchor one s-step walk over all symbols gives every
+    leaf's weight exp(f + i b tau); the exact sum adds them times H on the leaf's
+    cylinder under its s-step fiber action, each tail's mu adds them at the leaf's
+    (r+1)-step atom, and mu is convolved with H on the tail's cylinder through the
+    fiber action of c(tail[:-1]).  The residual is the norm of exact - approx,
+    whose cancellation long double keeps 3 digits further than double."""
+    from thinlab import symbolic
+    from thinlab.congruence import cocycle_mod
+    from thinlab.thermo import Walk
+
+    model, n = lab.model, group.order
+    values = H.values.astype(np.clongdouble)
+    act = np.array([group.act(h) for h in range(n)])
+    tails = symbolic.all_words(model.T, s - r)
+    tail_fiber = []
+    for tail in tails:
+        ext = (tail + symbolic.omega_tail(model.T, tail[-1]).period * H.depth)[: H.depth]
+        cyl = symbolic.word_rank(H.words, [ext], model.N)[0]
+        tail_fiber.append(values[cyl][act[cocycle_mod(model, tail[:-1], group)]])
+    residuals = []
+    for w in symbolic.all_words(model.T, 2):
+        x = symbolic.SymbolicPoint(w, symbolic.omega_tail(model.T, w[-1]).period)
+        walk = Walk.from_point(model, lab.potential(xi.real), x, group)
+        word = np.empty((1, 0), dtype=np.int64)
+        for t in range(s):
+            parents = walk.step(range(model.N))
+            word = np.column_stack([walk.sym, word[parents]])
+            atoms = walk.cidx if t == r else atoms[parents] if t > r else None
+        weights = np.exp(walk.f.astype(np.longdouble) + 1j * np.longdouble(xi.imag) * walk.tau)
+        fill = np.tile(np.array(x.symbols(H.depth)), (len(word), 1))
+        cyl = symbolic.word_rank(H.words, np.concatenate([word, fill], axis=1)[:, : H.depth], model.N)
+        exact = (weights[:, None] * values[cyl[:, None], act[walk.cidx]]).sum(axis=0)
+        mu = np.zeros((len(tails), n), dtype=np.clongdouble)
+        np.add.at(mu, (symbolic.word_rank(np.array(tails), word[:, : s - r], model.N), atoms), weights)
+        approx = np.zeros(n, dtype=np.clongdouble)
+        for weights_t, fiber in zip(mu, tail_fiber):
+            for h in np.flatnonzero(weights_t):
+                approx += weights_t[h] * fiber[act[h]]
+        residuals.append(float(np.sqrt((np.abs(exact - approx) ** 2).sum())))
+    return np.array(residuals)
+
+
+def birkhoff_scalar(potential, alpha, x):
+    """symbolic.birkhoff's sums by a scalar loop over the symbols of alpha,
+    innermost first: the preimage point, the step roof and the step f, one
+    evaluation each, with the cocycle from MarkovModel.word_cocycle."""
+    from thinlab import symbolic
+
+    model = potential.model
+    v = symbolic.eval_point(model, x)
+    logh = potential.logh0_at(x.first, v)
+    tau_sum = 0.0
+    f_sum = 0.0
+    for j in reversed(tuple(alpha)):
+        v = model.inv_branch(j, v)
+        step_tau = float(model.tau(j, v))
+        logh_new = potential.logh0_at(j, v)
+        tau_sum += step_tau
+        f_sum += potential.f_from_parts(step_tau, logh_new, logh)
+        logh = logh_new
+    return tau_sum, model.word_cocycle(alpha), f_sum
 
 
 def closure_size_bfs(mats, q):

@@ -187,6 +187,28 @@ def test_rpf_takes_a_past_a0p(config, tmp_path, capsys):
     assert main(["rpf", "--config", config, "--a", "0.3", "--out", str(tmp_path / "out")]) == 0
 
 
+# a non-finite float flag is an argument error: exit 2 before any work, nothing written
+NON_FINITE = [
+    ("twist", ["--b", "inf"]),        # an OverflowError traceback
+    ("twist", ["--b", "5,inf"]),
+    ("decay", ["--b", "inf"]),        # printed nan norms and wrote both CSVs
+    ("decay", ["--b", "nan"]),
+    ("decay", ["--a", "inf"]),        # refused by decay_small_b, after the set-up work
+    ("rpf", ["--a", "inf"]),          # printed a nan gap and wrote its CSV
+    ("flatten", ["--b", "nan", "--r", "8"]),
+]
+
+
+@pytest.mark.parametrize("command, flags", NON_FINITE, ids=[f"{c}{f[0]}={f[1]}" for c, f in NON_FINITE])
+def test_non_finite_float_flag_exits_2(config, tmp_path, capsys, command, flags):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", config, "--out", str(out)] + flags)
+    assert exc.value.code == 2
+    assert f"{flags[1].split(',')[-1]!r} is not a finite number" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_r_prime_flag_rejected(config, tmp_path, capsys):
     # r' is always r / l in `flatten`; the flag no longer exists
     with pytest.raises(SystemExit) as exc:

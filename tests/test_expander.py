@@ -25,6 +25,7 @@ from thinlab.errors import (DepthExhausted, EnumerationTooLarge, ModulusMismatch
 from thinlab.thermo import Walk
 
 from oracles import (
+    approx_residuals_longdouble,
     approx_residuals_per_tail,
     build_measures_fresh,
     build_nu1_chains,
@@ -224,6 +225,7 @@ def test_convolution_flat_identity(model, lab, groups):
 
 
 def test_approx_exact_on_locally_constant(model, lab, groups):
+    # H on a leaf's cylinder is H on its tail cylinder, so every difference is 0
     g5 = groups(5)
     rng = np.random.default_rng(14)
     r, s, depth = 4, 6, 6
@@ -233,48 +235,55 @@ def test_approx_exact_on_locally_constant(model, lab, groups):
     for i, w in enumerate(map(tuple, lift.words.tolist())):
         lift.values[i] = low.values[idx[w[: low.depth]]]
     rep = approx_transfer_check(lab, g5, lift, 0.3j, r, s)
-    assert rep["sup"] <= 1e-9
+    assert rep["sup"] == 0.0
 
 
 @pytest.mark.parametrize("q", [5, 7])
 def test_approx_matches_per_tail_oracle(model, lab, groups, q, monkeypatch):
-    # one walk per anchor serves the exact sum and every tail's mu; the exact
-    # sums are those of transfer_apply_at bit for bit, while mu's tail steps
-    # run over all tails at once and so round differently from one tail's walk
+    # the residual is one word sum of H less H on the tail cylinder: it matches
+    # the per-tail mu convolutions in long double, and fresh per-tail walks; the
+    # anchor walk, summed over plain H, is transfer_apply_at's walk bit for bit
     g = groups(q)
     H = CongruenceFunction.random_dtheta_lipschitz(model, g, 6, np.random.default_rng(q), lab.constants().theta)
     word_sum = ex._word_sum
-    exacts = []
+    walks = []
 
-    def recorded(*args):
-        exacts.append(word_sum(*args))
-        return exacts[-1]
+    def recorded(lab_, group, H_, values, xi, x, walk, word):
+        walks.append((x, walk, word))
+        return word_sum(lab_, group, H_, values, xi, x, walk, word)
 
     for sr in (1, 2, 3, 4):
-        exacts.clear()
+        walks.clear()
         monkeypatch.setattr(ex, "_word_sum", recorded)
         rep = approx_transfer_check(lab, g, H, 0.3j, 6 - sr, 6)
         monkeypatch.setattr(ex, "_word_sum", word_sum)
+        np.testing.assert_allclose(rep["residuals"], approx_residuals_longdouble(lab, g, H, 0.3j, 6 - sr, 6),
+                                   rtol=1e-14, atol=0, err_msg=f"q={q}, s-r={sr}")
         want, want_exacts = approx_residuals_per_tail(lab, g, H, 0.3j, 6 - sr, 6)
         np.testing.assert_allclose(rep["residuals"], want, rtol=1e-12, atol=0, err_msg=f"q={q}, s-r={sr}")
-        assert len(exacts) == len(want_exacts)
-        for got, exact in zip(exacts, want_exacts):
-            assert np.array_equal(got, exact), (q, sr)
+        assert len(walks) == len(want_exacts)
+        for (x, walk, word), exact in zip(walks, want_exacts):
+            assert np.array_equal(word_sum(lab, g, H, H.values, 0.3j, x, walk, word), exact), (q, sr)
 
 
 def test_approx_walks_once_per_anchor(model, lab, groups, monkeypatch):
+    # one walk per anchor and no tail measure: no convolution, no cocycle reduced per tail
     g5 = groups(5)
     H = CongruenceFunction.random(model, g5, 6, np.random.default_rng(16))
-    step = Walk.step
-    calls = []
+    calls = {"step": 0, "convolve_fn": 0, "cocycle_mod": 0}
 
-    def counted(walk, symbols):
-        calls.append(symbols)
-        return step(walk, symbols)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(Walk, "step", counted)
+    monkeypatch.setattr(Walk, "step", counted("step", Walk.step))
+    monkeypatch.setattr(cg.GroupModQ, "convolve_fn", counted("convolve_fn", cg.GroupModQ.convolve_fn))
+    monkeypatch.setattr(cg, "cocycle_mod", counted("cocycle_mod", cg.cocycle_mod))
+    monkeypatch.setattr(ex, "cocycle_mod", counted("cocycle_mod", ex.cocycle_mod))
     approx_transfer_check(lab, g5, H, 0.3j, 3, 6)
-    assert len(calls) == len(sym.all_words(model.T, 2)) * 6
+    assert calls == {"step": len(sym.all_words(model.T, 2)) * 6, "convolve_fn": 0, "cocycle_mod": 0}
 
 
 @pytest.mark.parametrize("r, s", [(0, 4), (4, 4), (5, 4)])

@@ -9,7 +9,7 @@ from thinlab.errors import EnumerationTooLarge, InadmissibleWord, NotMixing
 from thinlab.schottky import IDENTITY
 from thinlab.thermo import A0P
 
-from oracles import brute_force_words, lip_quotient_pairs_per_draw
+from oracles import birkhoff_scalar, brute_force_words, lip_quotient_pairs_per_draw
 
 
 def test_mixing_full_shift():
@@ -135,6 +135,25 @@ def test_birkhoff_additivity(lab, model):
     assert abs(t2 - (t_in + t_out)) <= 1e-12
     assert abs(f2 - (f_in + f_out)) <= 1e-12
     assert c2.tuple() == (c_out @ c_in).tuple()
+
+
+def test_birkhoff_matches_scalar_loop(lab, model):
+    # the one-leaf walk sums the steps in the scalar loop's order, bit for bit
+    rng = np.random.default_rng(20)
+    pairs = sym.lip_quotient_pairs(model, rng, depths=[0, 2, 4], samples_per_depth=5)
+    words = {k: sym.all_words(model.T, k) for k in (1, 2, 3, 5)}
+    n_cases = 0
+    for a in (0.0, 0.02, -0.04):
+        pot = lab.potential(a)
+        for x in (p for _, x, y in pairs for p in (x, y)):
+            for k, table in words.items():
+                fits = [w for w in table if model.T[w[-1], x.first]]
+                for i in rng.choice(len(fits), size=3, replace=False):
+                    tau, coc, f = birkhoff(pot, fits[i], x)
+                    tau0, coc0, f0 = birkhoff_scalar(pot, fits[i], x)
+                    assert (tau, coc.tuple(), f) == (tau0, coc0.tuple(), f0), (a, x, fits[i])
+                    n_cases += 1
+    assert n_cases == 3 * 30 * 4 * 3
 
 
 def test_birkhoff_inadmissible(lab):
