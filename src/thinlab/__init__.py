@@ -14,10 +14,8 @@ from .schottky import (
 from .symbolic import (
     SymbolicPoint,
     birkhoff,
-    d_theta,
     enumerate_words,
     eval_point,
-    mixing_exponent,
 )
 from .thermo import (
     CollocationGrid,
@@ -32,7 +30,6 @@ from .congruence import (
     GroupModQ,
     NewSpaceDecomposition,
     cocycle_mod,
-    project_and_scale,
 )
 from .expander import (
     FlatteningReport,
@@ -51,8 +48,6 @@ from .decay import (
     DecaySchedule,
     decay_small_b,
     make_schedule,
-    small_b_distortion,
-    supnorm_lipschitz_check,
     twisted_radius,
 )
 

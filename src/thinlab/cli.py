@@ -160,10 +160,12 @@ def _level(cfg, model, qs):
 
 
 def cmd_delta(cfg, model, args):
+    # the pressure root at twice the degree shows how far delta is from converged;
+    # its grid comes first, so a degree past the grid cap is refused before any solve
+    fine_grid = thermo.CollocationGrid(model, 2 * cfg.degree)
     lab = thermo.ThermoLab(model, degree=cfg.degree, theta=cfg.theta)
     sol = lab.rpf(0.0)
-    # the pressure root at twice the degree shows how far delta is from converged
-    fine = thermo.critical_exponent(model, thermo.CollocationGrid(model, 2 * cfg.degree))
+    fine = thermo.critical_exponent(model, fine_grid)
     payload = {"delta": lab.delta, "gap": sol.gap, "degree": cfg.degree, "residual": sol.residual,
                "discretization": abs(lab.delta - fine)}
     body = json.dumps(payload, indent=2)

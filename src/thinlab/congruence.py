@@ -230,7 +230,7 @@ class CongruenceFunction:
     @classmethod
     def random_dtheta_lipschitz(cls, model, group, depth, rng, theta):
         """Random function with fluctuations of size theta^m at symbol depth m,
-        i.e. d_theta-Lipschitz with its modulus saturated at every scale."""
+        i.e. theta-Lipschitz with its modulus saturated at every scale."""
         words = symbolic.word_table(model.T, depth)
         vals = np.zeros((len(words), group.order), dtype=complex)
         for m in range(depth):
@@ -449,25 +449,3 @@ def decomposition_table_csv(decomp, seed=0):
         writer.writerow([decomp.q, d, decomp.dim_new(d), decomp.spade(d),
                          format(worst, ".17g")])
     return buf.getvalue()
-
-
-def project_and_scale(decomp, H, d, lab=None, theta=None):
-    """Push H (fibers in the new space at divisor d) down to level d.
-
-    Returns the pushed-down CongruenceFunction, the index ratio spade, and the
-    l2 norms of both sides (nu_U-weighted when lab is given, else flat masses).
-    """
-    Hd = CongruenceFunction(H.depth, H.words, decomp.proj_down(d, H.values))
-    spade = decomp.spade(d)
-    if lab is not None:
-        _, masses = lab.cylinder_masses(H.depth)
-    else:
-        masses = np.full(len(H.words), 1.0 / len(H.words))
-    norms = {
-        "l2": cf_l2_norm(H, masses),
-        "l2_down": cf_l2_norm(Hd, masses),
-    }
-    if theta is not None:
-        norms["lip"] = cf_lip_norm(H, theta)
-        norms["lip_down"] = cf_lip_norm(Hd, theta)
-    return Hd, spade, norms

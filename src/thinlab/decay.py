@@ -1,20 +1,18 @@
 """End-to-end decay experiments: contraction schedules, small-frequency decay
-curves for new-vector inputs, sup/Lipschitz one-shot bounds, and the twisted
-spectral radius of the base operator at large frequencies."""
+curves for new-vector inputs, and the twisted spectral radius of the base
+operator at large frequencies."""
 
 from dataclasses import dataclass
 from math import ceil, log
 
 import numpy as np
 
-from . import symbolic
-from .congruence import (CongruenceFunction, CongruenceOperator, GroupModQ, cf_l2_norm, cf_lip,
-                         cf_lip_norm, cf_sup_norm, new_space_projector)
-from .errors import BudgetExceeded, TooLarge
+from .congruence import (CongruenceFunction, CongruenceOperator, cf_l2_norm, cf_lip_norm,
+                         new_space_projector)
+from .errors import BudgetExceeded
 from .thermo import CollocationGrid, NormalizedPotential, assemble_transfer, dense_leading
 
-C0 = 2.0                       # r_q lies in [C0 log N, C0 log N + l)
-SENTINEL_MAX_CYLINDERS = 3000  # sentinel_decay_rate densifies an n x n matrix
+C0 = 2.0  # r_q lies in [C0 log N, C0 log N + l)
 
 
 @dataclass
@@ -60,22 +58,6 @@ def make_schedule(q, consts, l=2, kappa_hat=0.05):
     lt, l2 = log(theta), log(2.0)
     C_s = C0 - 1.0 / lt + l / l2 - log(4.0 * C1 * Cf) / (lt * l2) + 1.0 / l2
     return DecaySchedule(q, r_q, s_q, C0, l, C1, Cf, C_s, theta, kappa_hat)
-
-
-# ---- small-|b| distortion ----
-
-def small_b_distortion(lab, alpha, x, y, xi):
-    """|1 - exp(Delta(f + i b tau))| / d_theta(x, y) along one word, against C1."""
-    xi = complex(xi)
-    pot = lab.potential(xi.real)
-    theta = lab.constants().theta
-    d = symbolic.d_theta(x, y, theta)
-    if d == 0.0:
-        return 0.0
-    tx, _, fx = symbolic.birkhoff(pot, alpha, x)
-    ty, _, fy = symbolic.birkhoff(pot, alpha, y)
-    delta = (fy - fx) + 1j * xi.imag * (ty - tx)
-    return float(abs(1.0 - np.exp(delta)) / d)
 
 
 # ---- new-vector inputs ----
@@ -137,58 +119,6 @@ def decay_small_b(lab, group, schedule, xi, seed, depth=6, step_budget=60):
     passed = all(n <= b * (1 + 1e-12) for n, b in zip(norms, bounds))
     return DecayCurve(group.q, schedule.s_q, js, norms, norms_u, bounds, float(lip_norm),
                       float(per_step), passed)
-
-
-def supnorm_lipschitz_check(lab, group, schedule, xi, seed, depth=6, H=None):
-    """One application of M^{s_q}: sup and Lipschitz ratios against the input
-    Lipschitz norm, reported next to the (non-effective) N^{-kappa-hat}/2 shape."""
-    xi = complex(xi)
-    if H is None:
-        rng = np.random.default_rng(seed)
-        H = random_new_vector(lab, group, depth, rng)
-    theta = lab.constants().theta
-    denom = cf_lip_norm(H, theta)
-    shape = 0.5 * schedule.norm_q() ** (-schedule.kappa_hat)
-    if denom == 0.0:
-        return {"ratio_inf": 0.0, "ratio_lip": 0.0, "shape_bound": shape, "s_q": schedule.s_q}
-    op = CongruenceOperator(lab, group, xi.imag, H.depth, a=xi.real)
-    out = CongruenceFunction(H.depth, H.words, op.apply_k(H.values, schedule.s_q))
-    ratio_inf = cf_sup_norm(out) / denom
-    ratio_lip = cf_lip(out, theta) / denom
-    return {"ratio_inf": float(ratio_inf), "ratio_lip": float(ratio_lip), "shape_bound": shape,
-            "s_q": schedule.s_q}
-
-
-def sentinel_decay_rate(lab, depth=6):
-    """Second eigenvalue modulus of the q = 1 sentinel operator at xi = 0 on
-    depth-D cylinders, from one dense solve of its cylinder shift S; the
-    surrogate of the base operator's RPF gap.  TooLarge past
-    SENTINEL_MAX_CYLINDERS cylinders (depth 8 has 8,748)."""
-    n = len(symbolic.word_table(lab.model.T, depth))
-    if n > SENTINEL_MAX_CYLINDERS:
-        raise TooLarge(f"depth {depth} has {n} cylinders; the dense solve takes at most "
-                       f"{SENTINEL_MAX_CYLINDERS}")
-    op = CongruenceOperator(lab, GroupModQ.build(1), 0.0, depth)
-    return dense_leading(op.S.toarray().real)[2]
-
-
-# ---- operator norm chain ----
-
-def operator_norm_bound(lab, group, xi):
-    """Measured one-step growth factors of ||M H||_2 / ||H||_2 on five seeded
-    random inputs on depth-5 cylinders; they must stay below N e^{T0}."""
-    xi = complex(xi)
-    depth = 5
-    rng = np.random.default_rng(0)
-    op = CongruenceOperator(lab, group, xi.imag, depth, a=xi.real)
-    _, masses = lab.cylinder_masses(depth)
-    worst = 0.0
-    for _ in range(5):
-        H = CongruenceFunction.random(lab.model, group, depth, rng)
-        before = cf_l2_norm(H, masses)
-        after = cf_l2_norm(CongruenceFunction(depth, H.words, op.apply(H.values)), masses)
-        worst = max(worst, after / before)
-    return worst, lab.model.N * float(np.exp(lab.constants().T0))
 
 
 # ---- twisted radius of the base operator ----

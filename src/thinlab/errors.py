@@ -35,10 +35,6 @@ class PoleHit(ThinlabError):
 
 # ---- symbolic dynamics ----
 
-class NotMixing(ThinlabError):
-    pass
-
-
 class InadmissibleWord(ThinlabError):
     pass
 

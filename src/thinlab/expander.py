@@ -185,7 +185,7 @@ def _walk(lab, group, x, r, tails, a):
         word = np.column_stack([walk.sym, word[parents]])
     f_r, atoms = walk.f, None
     for symbols in tails.T[::-1]:
-        parents = walk.step(np.unique(symbols))
+        parents = walk.step(np.flatnonzero(np.bincount(symbols)))
         f_r, word = f_r[parents], np.column_stack([walk.sym, word[parents]])
         atoms = walk.cidx if atoms is None else atoms[parents]
     return walk, word, atoms, f_r

@@ -215,9 +215,6 @@ class MarkovModel:
 
     # ---- branches ----
 
-    def admissible(self, j, k):
-        return self.T[j, k] == 1
-
     # j is one symbol or an array of symbols, one per point; no pole guard
 
     def inv_branch(self, j, x):

@@ -1,4 +1,4 @@
-"""Subshift-of-finite-type layer: admissibility, mixing, symbolic points, d_theta,
+"""Subshift-of-finite-type layer: admissibility, word tables, symbolic points,
 and Birkhoff sums of the roof and the normalized potential along words.
 
 A word prepended to a symbolic point x contributes one orbit step per word
@@ -8,11 +8,11 @@ symbol; for word w = (w_0, ..., w_{k-1}) the concatenated sequence is
 """
 
 from dataclasses import dataclass
-from math import gcd, sqrt
+from math import sqrt
 
 import numpy as np
 
-from .errors import EnumerationTooLarge, InadmissibleWord, NotMixing
+from .errors import EnumerationTooLarge, InadmissibleWord
 from .schottky import IDENTITY
 
 MAX_LEAVES = 5_000_000
@@ -20,20 +20,6 @@ MAX_WORD_STEPS = 16  # longest word enumerate_words lists, in orbit steps
 
 
 # ---- transition structure ----
-
-def mixing_exponent(T):
-    """Smallest k <= N^2 with T^k entrywise positive; NotMixing otherwise."""
-    T = np.asarray(T)
-    n = T.shape[0]
-    if np.any(T.sum(axis=0) == 0) or np.any(T.sum(axis=1) == 0):
-        raise NotMixing("transition matrix has an empty row or column")
-    power = np.asarray(T, dtype=np.int64)
-    for k in range(1, n * n + 1):
-        if (power > 0).all():
-            return k
-        power = np.minimum(power, 1) @ T
-    raise NotMixing(f"no power of T up to {n * n} is entrywise positive")
-
 
 def admissible(T, word):
     return all(T[a, b] for a, b in zip(word, word[1:]))
@@ -154,27 +140,6 @@ def omega_tail(T, y):
     raise InadmissibleWord(f"symbol {y} has no admissible continuation")
 
 
-def first_disagreement(x, y):
-    """Index of the first differing symbol, or None if the points coincide."""
-    xn, yn = x.normalized(), y.normalized()
-    if xn == yn:
-        return None
-    bound = len(xn.preperiod) + len(yn.preperiod) + _lcm(len(xn.period), len(yn.period))
-    for i in range(bound + 1):
-        if xn.symbol(i) != yn.symbol(i):
-            return i
-    return None
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
-
-
-def d_theta(x, y, theta):
-    i = first_disagreement(x, y)
-    return 0.0 if i is None else theta**i
-
-
 def eval_point(model, x, check=True):
     """The real point coded by an eventually periodic symbolic sequence.
 
@@ -229,8 +194,8 @@ def birkhoff(potential, alpha, x):
 def lip_quotient_pairs(model, rng, depths, samples_per_depth):
     """Sampled pairs of symbolic points at prescribed agreement depths.
 
-    Yields (m, x, y) with d_theta(x, y) = theta^m; used to measure d_theta
-    Lipschitz surrogates for the roof and potential.
+    Yields (m, x, y) with x, y agreeing on exactly their first m symbols, so
+    theta^m apart; used to measure Lipschitz surrogates for the roof and potential.
     """
     T = model.T
     n = T.shape[0]

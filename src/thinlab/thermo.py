@@ -13,14 +13,19 @@ from functools import cached_property
 import numpy as np
 
 from . import symbolic
-from .errors import EnumerationTooLarge, InadmissibleWord, NoConvergence, RootNotBracketed
+from .errors import EnumerationTooLarge, InadmissibleWord, NoConvergence, RootNotBracketed, TooLarge
 from .symbolic import MAX_LEAVES, lip_quotient_pairs, word_table
+
+MAX_GRID_ROWS = 4096  # N * degree; one complex eig of 2,560 rows took 41 s on one thread
 
 
 class CollocationGrid:
     """Per-symbol Chebyshev nodes with barycentric interpolation weights."""
 
     def __init__(self, model, degree=16):
+        if model.N * degree > MAX_GRID_ROWS:
+            raise TooLarge(f"degree {degree} on {model.N} intervals gives {model.N * degree} grid rows; "
+                           f"the dense solves take at most {MAX_GRID_ROWS}")
         self.model = model
         self.m = degree
         i = np.arange(degree)
@@ -30,10 +35,6 @@ class CollocationGrid:
         mid = self.model.intervals.mean(axis=1)
         half = np.diff(self.model.intervals, axis=1)[:, 0] / 2.0
         self.nodes = mid[:, None] + half[:, None] * ref[None, :]
-
-    @property
-    def dim(self):
-        return self.model.N * self.m
 
     @cached_property
     def branches(self):
@@ -294,8 +295,8 @@ class ThermoLab:
         f_sup = max(np.abs(fa).max() for fa in f.values())
         A_f = 1.05 * max(np.abs(f[a] - f[0.0]).max() / abs(a) for a in a_samples if a != 0.0)
 
-        # T0 and C_theta: empirical d_theta difference quotients of tau and f^(a)
-        # over sampled pairs (x, y), stored interleaved x, y, x, y, ...
+        # T0 and C_theta: empirical theta-metric difference quotients of tau and
+        # f^(a) over sampled pairs (x, y), stored interleaved x, y, x, y, ...
         rng = np.random.default_rng(0)
         pairs = lip_quotient_pairs(model, rng, depths=range(0, 9), samples_per_depth=60)
         scale = np.array([self.theta**m_agree for m_agree, _, _ in pairs])
@@ -348,14 +349,6 @@ class ThermoLab:
             masses = np.sum(w_U[words[:, -1]] * np.exp(walk.f.reshape(-1, m)), axis=1)
             self._masses[depth] = (words, masses)
         return self._masses[depth]
-
-    def sum_exp_f(self, k, x, a):
-        """Sum over admissible k-step words prepended to x of exp(f_k^(a)); equals
-        the normalized operator's k-th iterate applied to the constant one."""
-        walk = Walk.from_point(self.model, self.potential(a), x)
-        for _ in range(k):
-            walk.step(range(self.model.N))
-        return float(np.exp(walk.f).sum())
 
 
 class Walk:

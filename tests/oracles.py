@@ -456,7 +456,7 @@ def measure_constants_per_point(lab):
         for k in range(model.N):
             u = grid.nodes[k]
             for j in range(model.N):
-                if not model.admissible(j, k):
+                if not model.T[j, k]:
                     continue
                 v = model.inv_branch(j, u)
                 fa = pots[a].f_step(j, k, v, u)

@@ -209,6 +209,22 @@ def test_non_finite_float_flag_exits_2(config, tmp_path, capsys, command, flags)
     assert not os.path.exists(out)
 
 
+# a collocation grid past MAX_GRID_ROWS rows is refused before any dense solve:
+# exit 2, nothing written
+TOO_LARGE = [
+    ("twist", ["--b", "1e9"]),               # degree 2 |b| for the twist
+    ("delta", ["--degree", "1000000000"]),   # its 2 * degree grid is built first
+]
+
+
+@pytest.mark.parametrize("command, flags", TOO_LARGE, ids=[f"{c}{f[0]}={f[1]}" for c, f in TOO_LARGE])
+def test_grid_past_cap_exits_2(config, tmp_path, capsys, command, flags):
+    out = tmp_path / "out"
+    assert main([command, "--config", config, "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err.startswith("TooLarge: ")
+    assert not os.path.exists(out)
+
+
 def test_r_prime_flag_rejected(config, tmp_path, capsys):
     # r' is always r / l in `flatten`; the flag no longer exists
     with pytest.raises(SystemExit) as exc:

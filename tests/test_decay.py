@@ -1,18 +1,10 @@
 import numpy as np
 import pytest
 
-from thinlab import (
-    CongruenceFunction,
-    decay_small_b,
-    make_schedule,
-    small_b_distortion,
-    supnorm_lipschitz_check,
-    twisted_radius,
-)
-from thinlab import decay as dc
+from thinlab import CongruenceFunction, GroupModQ, decay_small_b, make_schedule, twisted_radius
 from thinlab import symbolic as sym
-from thinlab.errors import TooLarge
-from thinlab.thermo import CollocationGrid, NormalizedPotential, assemble_transfer, rpf_solve
+from thinlab.congruence import CongruenceOperator, cf_l2_norm
+from thinlab.thermo import CollocationGrid, NormalizedPotential, assemble_transfer, dense_leading, rpf_solve
 
 from oracles import growth_rate
 
@@ -27,19 +19,27 @@ def _normalized_operator(lab, b, degree):
     return M, (sol.nu * sol.h).reshape(-1)
 
 
+def _sentinel_rate(lab):
+    # second eigenvalue modulus of the q = 1 operator's depth-6 cylinder shift at xi = 0
+    return dense_leading(CongruenceOperator(lab, GroupModQ.build(1), 0.0, 6).S.toarray().real)[2]
+
+
 def _random_word_and_pair(model, rng, s):
     pairs = sym.lip_quotient_pairs(model, rng, depths=[int(rng.integers(0, 5))], samples_per_depth=1)
-    _, x, y = pairs[0]
+    m, x, y = pairs[0]
     word = [int(np.flatnonzero(model.T[:, x.first])[rng.integers(3)])]
     for _ in range(s - 1):
         prev = np.flatnonzero(model.T[:, word[0]])
         word.insert(0, int(prev[rng.integers(len(prev))]))
-    return tuple(word), x, y
+    return tuple(word), m, x, y
 
 
-def test_distortion_zero_at_equal_points(model, lab):
-    x = sym.point((0,), (1,))
-    assert small_b_distortion(lab, (1, 0), x, x, 0.5j) == 0.0
+def _distortion(lab, word, m, x, y, b):
+    # |1 - exp(Delta(f + i b tau))| along the word over the distance theta^m of x and y
+    pot = lab.potential(0.0)
+    tx, _, fx = sym.birkhoff(pot, word, x)
+    ty, _, fy = sym.birkhoff(pot, word, y)
+    return abs(1.0 - np.exp((fy - fx) + 1j * b * (ty - tx))) / lab.constants().theta ** m
 
 
 def test_distortion_bound_b0(model, lab, consts):
@@ -49,10 +49,10 @@ def test_distortion_bound_b0(model, lab, consts):
     bound = t * np.exp(t)
     worst = 0.0
     for _ in range(100):
-        word, x, y = _random_word_and_pair(model, rng, 1)
+        word, m, x, y = _random_word_and_pair(model, rng, 1)
         if x.first != y.first:
             continue
-        worst = max(worst, small_b_distortion(lab, word, x, y, 0.0))
+        worst = max(worst, _distortion(lab, word, m, x, y, 0.0))
     assert worst <= bound
 
 
@@ -64,10 +64,10 @@ def test_distortion_linear_in_b(model, lab, consts, b):
     bound = (1.0 + b) * t * np.exp(t)
     worst = 0.0
     for _ in range(40):
-        word, x, y = _random_word_and_pair(model, rng, int(rng.integers(1, 5)))
+        word, m, x, y = _random_word_and_pair(model, rng, int(rng.integers(1, 5)))
         if x.first != y.first:
             continue
-        worst = max(worst, small_b_distortion(lab, word, x, y, complex(0.0, b)))
+        worst = max(worst, _distortion(lab, word, m, x, y, b))
     assert worst <= bound
 
 
@@ -79,30 +79,14 @@ def test_schedule_validity(consts, expansion):
         assert ok, detail
 
 
-def test_sentinel_rate_matches_gap(lab):
-    rate = dc.sentinel_decay_rate(lab)
-    gap = lab.rpf(0.0).gap
-    assert abs(rate - gap) <= 0.1 * gap
-
-
 def test_sentinel_rate_is_rpf_gap(lab):
     # the q = 1 operator's second eigenvalue is the cylinder surrogate of the RPF gap
-    assert abs(dc.sentinel_decay_rate(lab) - lab.rpf(0.0).gap) <= 1e-6
-
-
-def test_sentinel_rate_refuses_depth_8(lab, monkeypatch):
-    # at 8,748 cylinders the dense solve ran for minutes and reached 1.8 GB; it is
-    # refused from the cylinder count, before the operator is built
-    def build(*args, **kwargs):
-        raise AssertionError("operator built past the cylinder cap")
-    monkeypatch.setattr(dc, "CongruenceOperator", build)
-    with pytest.raises(TooLarge):
-        dc.sentinel_decay_rate(lab, depth=8)
+    assert abs(_sentinel_rate(lab) - lab.rpf(0.0).gap) <= 1e-6
 
 
 def test_consistency_of_regimes(lab):
     # word-model decay at b = 0 vs grid twisted radius at b = 0 within 10%
-    rate = dc.sentinel_decay_rate(lab)
+    rate = _sentinel_rate(lab)
     base = growth_rate(*_normalized_operator(lab, 0.0, lab.grid.m), mean_zero=True)
     assert abs(rate - base) <= 0.1 * base
 
@@ -110,7 +94,6 @@ def test_consistency_of_regimes(lab):
 def test_fiber_constant_has_no_decay(model, lab, groups, consts, expansion):
     g5 = groups(5)
     sched = make_schedule(5, consts, l=expansion["p"] + 1)
-    from thinlab.congruence import CongruenceOperator, cf_l2_norm
     H = CongruenceFunction.build(model, g5, 5, fill=1.0)
     op = CongruenceOperator(lab, g5, 0.0, 5, a=0.0)
     out = op.apply_k(H.values.copy(), sched.s_q)
@@ -128,23 +111,7 @@ def test_decay_curves_pass_and_agree(model, lab, groups, consts, expansion):
     assert max(factors) <= 2.0 * min(factors)
 
 
-def test_supnorm_lipschitz_zero_input(model, lab, groups, consts, expansion):
-    g5 = groups(5)
-    sched = make_schedule(5, consts, l=expansion["p"] + 1)
-    H = CongruenceFunction.build(model, g5, 4, fill=0.0)
-    rep = supnorm_lipschitz_check(lab, g5, sched, 0.0, seed=0, H=H)
-    assert rep["ratio_inf"] == 0.0 and rep["ratio_lip"] == 0.0
-
-
-def test_supnorm_lipschitz_contracts(model, lab, groups, consts, expansion):
-    g5 = groups(5)
-    sched = make_schedule(5, consts, l=expansion["p"] + 1)
-    rep = supnorm_lipschitz_check(lab, g5, sched, 0.01 + 0.3j, seed=3, depth=5)
-    assert rep["ratio_inf"] < 1.0 and rep["ratio_lip"] < 1.0
-
-
 def test_monotone_norm_chain(model, lab, groups, consts):
-    from thinlab.congruence import CongruenceOperator, cf_l2_norm
     g5 = groups(5)
     rng = np.random.default_rng(22)
     H = CongruenceFunction.random(model, g5, 5, rng)

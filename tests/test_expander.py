@@ -575,6 +575,25 @@ def test_block_solvers_load_no_scipy(expansion):
     assert out.stdout.strip() == "[]"
 
 
+def test_build_measures_loads_no_numpy_ma():
+    # np.unique imports numpy.ma on its first call, a few hundredths of a second
+    # inside every approximation round; the walk's tail symbols need no sort
+    script = (
+        "import sys\n"
+        "from thinlab import GroupModQ, ThermoLab, build_measures\n"
+        "from thinlab.schottky import SchottkyData, build_markov_model\n"
+        "from thinlab.symbolic import SymbolicPoint\n"
+        "doc = {'generators': [[[2, 3], [1, 2]], [[6, 35], [1, 6]]]}\n"
+        "model = build_markov_model(SchottkyData.from_json_dict(doc))\n"
+        "build_measures(ThermoLab(model), GroupModQ.build(5), SymbolicPoint((0,), (1,)), 2, 4, (1, 1), 0.3j)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(thinlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_cayley_gap_reproducible_across_processes(expansion):
     script = (
         "from thinlab import cayley_gap, build_return_set, GroupModQ\n"

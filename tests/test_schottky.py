@@ -70,7 +70,7 @@ def test_transition_count(model):
 def test_roof_positive_on_nodes(model, lab):
     for k in range(model.N):
         for j in range(model.N):
-            if not model.admissible(j, k):
+            if not model.T[j, k]:
                 continue
             v = model.inv_branch(j, lab.grid.nodes[k])
             assert (model.tau(j, v) > 0).all()
@@ -80,7 +80,7 @@ def test_branch_roundtrip(model, lab):
     for k in range(model.N):
         u = lab.grid.nodes[k]
         for j in range(model.N):
-            if not model.admissible(j, k):
+            if not model.T[j, k]:
                 continue
             back = model.forward(j, model.inv_branch(j, u))
             assert np.abs(back - u).max() <= 1e-12
@@ -90,7 +90,7 @@ def test_roof_bounds_recorded(model, lab):
     assert 0.0 < model.tau_min <= model.tau_max < np.inf
     for k in range(model.N):
         for j in range(model.N):
-            if not model.admissible(j, k):
+            if not model.T[j, k]:
                 continue
             vals = model.tau(j, model.inv_branch(j, lab.grid.nodes[k]))
             assert vals.min() >= model.tau_min - 1e-12

@@ -3,27 +3,21 @@ import itertools
 import numpy as np
 import pytest
 
-from thinlab import birkhoff, d_theta, enumerate_words, eval_point, mixing_exponent
+from thinlab import birkhoff, enumerate_words, eval_point
 from thinlab import symbolic as sym
-from thinlab.errors import EnumerationTooLarge, InadmissibleWord, NotMixing
+from thinlab.errors import EnumerationTooLarge, InadmissibleWord
 from thinlab.schottky import IDENTITY
-from thinlab.thermo import A0P
+from thinlab.thermo import A0P, Walk
 
 from oracles import birkhoff_scalar, brute_force_words, lip_quotient_pairs_per_draw
 
 
-def test_mixing_full_shift():
-    assert mixing_exponent(np.ones((2, 2), dtype=int)) == 1
-
-
-def test_mixing_no_backtracking(model):
-    assert mixing_exponent(model.T) == 2
-
-
-def test_mixing_permutation_fails():
-    T = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    with pytest.raises(NotMixing):
-        mixing_exponent(T)
+def _walk_mass(lab, k, x, a):
+    # sum of exp(f_k^(a)) over the admissible k-step words prepended to x
+    walk = Walk.from_point(lab.model, lab.potential(a), x)
+    for _ in range(k):
+        walk.step(range(lab.model.N))
+    return float(np.exp(walk.f).sum())
 
 
 def test_enumerate_words_single_edge():
@@ -96,26 +90,8 @@ def test_lip_quotient_pairs_keep_the_per_draw_stream(model, seed):
     assert pairs == lip_quotient_pairs_per_draw(model, ref, depths=range(0, 9), samples_per_depth=20)
     assert rng.bit_generator.state == ref.bit_generator.state
     assert all(type(s) is int for _, x, y in pairs for s in x.preperiod + x.period + y.preperiod + y.period)
-
-
-def test_d_theta_basic(model):
-    x = sym.point((0,), (1,))
-    assert d_theta(x, x, 0.5) == 0.0
-    y = sym.point((2,), (1,))
-    assert d_theta(x, y, 0.5) == 1.0
-    a = sym.point((0, 1, 0), (3,))
-    b = sym.point((0, 1, 0), (1,))
-    assert d_theta(a, b, 0.5) == 0.125
-
-
-def test_d_theta_ultrametric(model, consts):
-    rng = np.random.default_rng(5)
-    pts = [p for _, p, q in sym.lip_quotient_pairs(model, rng, depths=range(0, 5), samples_per_depth=8)
-           for p in (p, q)]
-    theta = consts.theta
-    for _ in range(60):
-        x, y, z = (pts[rng.integers(len(pts))] for _ in range(3))
-        assert d_theta(x, z, theta) <= max(d_theta(x, y, theta), d_theta(y, z, theta)) + 1e-15
+    # each pair agrees on exactly its first m symbols, so it lies theta^m apart
+    assert all(x.symbols(m) == y.symbols(m) and x.symbol(m) != y.symbol(m) for m, x, y in pairs)
 
 
 def test_birkhoff_empty_word(lab):
@@ -171,14 +147,14 @@ def test_birkhoff_inadmissible_point(lab):
 def test_normalized_mass_is_one(lab):
     for x in (sym.point((0,), (1,)), sym.point((), (2, 3)), sym.point((1, 2), (3,))):
         for k in (1, 2, 4, 6):
-            assert abs(lab.sum_exp_f(k, x, 0.0) - 1.0) <= 1e-10
+            assert abs(_walk_mass(lab, k, x, 0.0) - 1.0) <= 1e-10
 
 
 def test_mass_bound_up_to_twelve(lab, consts):
     x = sym.point((0,), (1,))
     for a in (0.04, -0.04, 0.8 * A0P):
         for k in (1, 4, 8, 12):
-            assert lab.sum_exp_f(k, x, a) <= consts.C_f
+            assert _walk_mass(lab, k, x, a) <= consts.C_f
 
 
 def test_omega_tail_smallest(model):
@@ -215,4 +191,4 @@ def test_sum_exp_f_matches_birkhoff_sum(model, lab):
             if model.T[w[-1], x.first]:
                 _, _, f = birkhoff(pot, w, x)
                 total += np.exp(f)
-        assert abs(total - lab.sum_exp_f(k, x, 0.02)) <= 1e-12 * total
+        assert abs(total - _walk_mass(lab, k, x, 0.02)) <= 1e-12 * total

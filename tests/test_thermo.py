@@ -38,14 +38,14 @@ def test_grid_nodes_strictly_inside(model):
 
 def test_raw_operator_counts_branches(model, lab):
     M = assemble_transfer(model, lab.grid, 0.0)
-    ones = np.ones(lab.grid.dim)
+    ones = np.ones(model.N * lab.grid.m)
     assert np.abs(M @ ones - (model.N - 1)).max() <= 1e-12
 
 
 def test_normalized_fixes_constants(model, lab):
     pot = lab.potential(0.0)
     M = assemble_transfer(model, lab.grid, 0.0, normalized=True, potential=pot)
-    ones = np.ones(lab.grid.dim)
+    ones = np.ones(model.N * lab.grid.m)
     assert np.abs(M @ ones - 1.0).max() <= 1e-10
 
 
@@ -158,7 +158,7 @@ def test_normalize_two_paths_agree(model, lab):
     for k in range(model.N):
         u = lab.grid.nodes[k]
         for j in range(model.N):
-            if not model.admissible(j, k):
+            if not model.T[j, k]:
                 continue
             v = model.inv_branch(j, u)
             manual = (
@@ -178,7 +178,7 @@ def test_a_f_bound_inside_radius(model, lab, consts):
         for k in range(model.N):
             u = lab.grid.nodes[k]
             for j in range(model.N):
-                if model.admissible(j, k):
+                if model.T[j, k]:
                     v = model.inv_branch(j, u)
                     worst = max(worst, np.abs(pot_a.f_step(j, k, v, u) - pot_0.f_step(j, k, v, u)).max())
         assert worst <= consts.A_f * abs(a)
@@ -189,7 +189,10 @@ def test_one_step_mass_bound_random_points(model, lab, consts):
     pairs = sym.lip_quotient_pairs(model, rng, depths=[0], samples_per_depth=20)
     for a in (0.04, -0.04):
         for _, x, _ in pairs:
-            assert lab.sum_exp_f(1, x, a) <= consts.C_f
+            # exp(f_1^(a)) summed over the one-step words prepended to x
+            walk = Walk.from_point(model, lab.potential(a), x)
+            walk.step(range(model.N))
+            assert np.exp(walk.f).sum() <= consts.C_f
 
 
 def test_gap_across_parameter_range(lab):
