@@ -7,8 +7,8 @@ identical configs and seeds reproduce them byte for byte.  Floats print with
 
 Every eigenvalue a subcommand prints comes from a dense LAPACK solve (the
 pressure root delta, the RPF data and gap, the twisted radius, convolution
-norms and Cayley gaps).  All but the convolution norms of a dense SVD are
-residual-checked; a failed check or an unconverged solve exits with EXIT_NUMERICAL.
+norms and Cayley gaps), and each is residual-checked; a failed check or an
+unconverged solve exits with EXIT_NUMERICAL.
 """
 
 import argparse

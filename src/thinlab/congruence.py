@@ -181,13 +181,6 @@ class GroupModQ:
             out += weights[h] * phi[..., self.act(h)]
         return out
 
-    def convolution_matrix(self, weights):
-        """Dense matrix of phi -> weights * phi."""
-        M = np.zeros((self.order, self.order), dtype=np.result_type(weights, float))
-        for h in np.flatnonzero(weights):
-            M[np.arange(self.order), self.act(h)] += weights[h]
-        return M
-
 
 def _encode_mats(flat, q):
     f = np.asarray(flat, dtype=np.int64)

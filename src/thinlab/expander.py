@@ -19,7 +19,7 @@ from .errors import (DepthExhausted, EnumerationTooLarge, GroupTooSmall, Inadmis
 from .symbolic import SymbolicPoint, all_words, enumerate_words, omega_tail
 from .thermo import RESIDUAL_TOL, Walk
 
-SVD_ORDER = 336           # |SL2(Z/7)|, the largest order criterion 7 runs dense
+SVD_ORDER = 336           # |SL2(Z/7)|: the default of the unread svd_cap, and criterion 7's svd column
 MAX_BLOCK_ENTRIES = 10**8  # conv_opnorm's order^2 / o block entries (1.6 GB complex; a real F plus its rfft alike)
 RETURN_SET_CAP = 200_000  # word pairs of one return set
 P_MAX = 4                 # highest return level detect_expansion tries
@@ -285,24 +285,19 @@ def approx_transfer_check(lab, group, H, xi, r, s):
 
 # ---- operator norms of convolution operators on subspaces ----
 
-def conv_opnorm(group, weights, projector, svd_cap=SVD_ORDER):
+def conv_opnorm(group, weights, projector, svd_cap=SVD_ORDER):  # svd_cap is unread; perfbench's tracer binds it
     """Operator norm of phi -> weights * phi restricted to the range of `projector`,
     which must commute with translations (the mean-zero and new-space projectors
     average over normal subgroups), so that the operator is phi -> P(weights) * phi.
-    Dense SVD up to svd_cap.  Above it, the operator commutes with left translation
-    by the c of group.coset_coords(); the Fourier transform over <c> splits it into
-    m x m blocks (at most MAX_BLOCK_ENTRIES entries, else TooLarge), whose largest
-    singular value is the norm.  Lifted to the group, its singular vector must
-    attain the norm, else NoConvergence.  Real (projected) weights keep real
-    arithmetic: a real dense SVD, and blocks chi <= o/2 only, from one rfft, since
-    block o - chi is then the conjugate of block chi, with the same singular values.
+    It commutes with left translation by the c of group.coset_coords(); the Fourier
+    transform over <c> splits it into m x m blocks (at most MAX_BLOCK_ENTRIES
+    entries, else TooLarge), whose largest singular value is the norm.  Lifted to
+    the group, its singular vector must attain the norm, else NoConvergence.  Real
+    (projected) weights keep real arithmetic: blocks chi <= o/2 only, from one rfft,
+    since block o - chi is then the conjugate of block chi, with the same singular
+    values.
     """
     n = group.order
-    if n <= svd_cap:
-        M = group.convolution_matrix(weights)
-        # projecting the rows right-multiplies by the (symmetric) projector matrix
-        MP = projector(M)
-        return float(np.linalg.svd(MP, compute_uv=False)[0])
     cells = _block_cells(group)
     o, m = cells.shape
     # F[t, j, i] = P(weights)(k_j^{-1} c^t k_i); transformed, F[chi] is block chi transposed
@@ -362,7 +357,8 @@ class FlatteningReport:
         }
 
 
-def flattening_pipeline(lab, group, x, r_prime, l, p, xi=0.3j, gaps=None, seed=0, svd_cap=SVD_ORDER):
+def flattening_pipeline(lab, group, x, r_prime, l, p, xi=0.3j, gaps=None, seed=0,
+                        svd_cap=SVD_ORDER):  # svd_cap is unread; perfbench's flatten workload still passes it
     """Run the measure-flattening verification chain at one modulus.
 
     Checks, in order: the mu/mu-hat/nu comparison, the nu0 vs nu1 two-sided
@@ -380,8 +376,7 @@ def flattening_pipeline(lab, group, x, r_prime, l, p, xi=0.3j, gaps=None, seed=0
         raise ValueError(f"need l > p, got l = {l}, p = {p}")
     if r_prime < 2:
         raise ValueError("block decomposition needs r' >= 2")
-    if group.order > svd_cap:
-        _block_cells(group)  # refuse a group too large for conv_opnorm before the walks and gaps
+    _block_cells(group)  # refuse a group too large for conv_opnorm before the walks and gaps
     r = r_prime * l
     s = r + 2  # the tail is the first admissible 2-symbol word
     tail = all_words(model.T, s - r)[0]
@@ -432,7 +427,7 @@ def flattening_pipeline(lab, group, x, r_prime, l, p, xi=0.3j, gaps=None, seed=0
         deficit = eps**2 / (2.0 * C0_flat**2 * model.N ** (2 * p))
         deficit_min = min(deficit_min, deficit)
         c_bound = float(np.sqrt(max(0.0, 1.0 - deficit)))
-        c_meas = conv_opnorm(group, eta, mean_zero_projector, svd_cap=svd_cap) / l1
+        c_meas = conv_opnorm(group, eta, mean_zero_projector) / l1
         c_meas_worst = max(c_meas_worst, c_meas)
         c_bound_worst = max(c_bound_worst, c_bound)
     entries["eta_contraction"] = {
@@ -442,7 +437,7 @@ def flattening_pipeline(lab, group, x, r_prime, l, p, xi=0.3j, gaps=None, seed=0
     values["eta_bound_deficit"] = float(deficit_min)
 
     # r-step contraction of nu0 on mean-zero vectors
-    ratio_nu = conv_opnorm(group, nu0.weights, mean_zero_projector, svd_cap=svd_cap) / nu0.l1()
+    ratio_nu = conv_opnorm(group, nu0.weights, mean_zero_projector) / nu0.l1()
     C3 = -np.log(c_bound_worst) if c_bound_worst > 0 else np.inf
     C_walk = float(np.exp((2 * C_est * theta**l - C3) / l))
     entries["walk_contraction"] = {"ratio": ratio_nu, "bound": C_walk**r, "passed": ratio_nu <= C_walk**r}
@@ -450,7 +445,7 @@ def flattening_pipeline(lab, group, x, r_prime, l, p, xi=0.3j, gaps=None, seed=0
 
     # new-space operator norm of mu against sqrt(#F) ||mu||_2
     proj_new = new_space_projector(group)
-    opnorm_new = conv_opnorm(group, mu.weights, proj_new, svd_cap=svd_cap)
+    opnorm_new = conv_opnorm(group, mu.weights, proj_new)
     trivial = float(np.sqrt(group.order) * mu.l2())
     entries["new_space_opnorm"] = {
         "ratio": opnorm_new / trivial if trivial > 0 else 0.0, "bound": 1.0,

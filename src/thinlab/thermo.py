@@ -157,10 +157,8 @@ def critical_exponent(model, grid, max_iter=200):
     raise NoConvergence(f"pressure root not within {PRESSURE_TOL:g} after {max_iter} steps (bracket [{lo}, {hi}])")
 
 
-def rpf_solve(model, grid, a, delta=None):
+def rpf_solve(model, grid, a, delta):
     """RPF eigendata (lam_a, h_a, nu_a, gap) at the potential -(delta + a) tau."""
-    if delta is None:
-        delta = critical_exponent(model, grid)
     M = assemble_transfer(model, grid, -(delta + a))
     lam, h, rho2, residual = dense_leading(M)
     nu = dense_leading(M.T)[1]
@@ -396,14 +394,11 @@ class Walk:
             raise EnumerationTooLarge(f"word enumeration grew past {MAX_LEAVES} leaves")
         row, parents = np.nonzero(admissible)
         sym = symbols[row]
-        # a lone symbol goes to the evaluators as a scalar: the tail steps of
-        # the approximating measures are many and small, and skip the grouping
-        j = symbols[0] if symbols.size == 1 else sym
-        v = model.inv_branch(j, self.v[parents])
-        tau = model.tau(j, v)
-        logh = pot.logh0_at(j, v)
+        v = model.inv_branch(sym, self.v[parents])
+        tau = model.tau(sym, v)
+        logh = pot.logh0_at(sym, v)
         if self.cidx is not None:
-            self.cidx = self.perms[j, self.cidx[parents]]
+            self.cidx = self.perms[sym, self.cidx[parents]]
         self.f = self.f[parents] + pot.f_from_parts(tau, logh, self.logh[parents])
         self.sym, self.v, self.logh, self.tau = sym, v, logh, self.tau[parents] + tau
         return parents

@@ -484,6 +484,18 @@ def measure_constants_per_point(lab):
     return lab.theta, 1.05 * c_theta, T0, A_f, float(np.exp(A_f * A0P))
 
 
+def conv_opnorm_dense(group, weights, projector):
+    """Operator norm of phi -> weights * phi on the range of `projector`, as the
+    top singular value of one dense SVD of the whole projected convolution
+    matrix.  An oracle for the <c>-character blocks of expander.conv_opnorm."""
+    M = np.zeros((group.order, group.order), dtype=np.result_type(weights, float))
+    for h in np.flatnonzero(weights):
+        M[np.arange(group.order), group.act(h)] += weights[h]
+    # projecting the rows right-multiplies by the (symmetric) projector matrix
+    MP = projector(M)
+    return float(np.linalg.svd(MP, compute_uv=False)[0])
+
+
 def conv_opnorm_lanczos(group, weights, projector, seed=0):
     """Operator norm of phi -> weights * phi on the range of `projector`, as the
     square root of the top eigenvalue of the Hermitian P mu~* mu P from one

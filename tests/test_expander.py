@@ -31,6 +31,7 @@ from oracles import (
     build_nu1_chains,
     cayley_lambda2_power,
     closure_size_bfs,
+    conv_opnorm_dense,
     conv_opnorm_lanczos,
     min_nontrivial_irrep_dim,
     sl2_count_bruteforce,
@@ -409,18 +410,19 @@ def _random_measure(group, atoms, seed):
 
 
 def test_conv_opnorm_blocks_raise_when_norm_not_attained(groups):
-    g13 = groups(13)
-
     def zero_first(phi):  # a projector that does not commute with translations, in phi's dtype
         out = np.array(phi)
         out[..., 0] = 0.0
         return out
 
-    # complex weights, then the same measure as real weights, which take the rfft blocks
-    for weights in (_random_measure(g13, 50, 16), _random_measure(g13, 50, 16).real):
-        assert 0.0 < ex.conv_opnorm(g13, weights, cg.mean_zero_projector, svd_cap=0) <= np.abs(weights).sum()
-        with pytest.raises(NoConvergence):
-            ex.conv_opnorm(g13, weights, zero_first, svd_cap=0)
+    # at small and large orders alike; complex weights, then the same measure as
+    # real weights, which take the rfft blocks
+    for q in (5, 7, 13):
+        g = groups(q)
+        for weights in (_random_measure(g, 50, 16), _random_measure(g, 50, 16).real):
+            assert 0.0 < ex.conv_opnorm(g, weights, cg.mean_zero_projector) <= np.abs(weights).sum()
+            with pytest.raises(NoConvergence):
+                ex.conv_opnorm(g, weights, zero_first)
 
 
 def test_conv_opnorm_blocks_refused_before_they_are_filled(monkeypatch):
@@ -439,8 +441,8 @@ def test_conv_opnorm_blocks_match_dense(groups):
     weights = _random_measure(g13, 50, 16)
     # at prime q the new-space projector is the mean-zero one
     assert cg.new_space_projector(g13) is cg.mean_zero_projector
-    dense = ex.conv_opnorm(g13, weights, cg.mean_zero_projector, svd_cap=g13.order)
-    assert abs(ex.conv_opnorm(g13, weights, cg.mean_zero_projector, svd_cap=0) - dense) <= 1e-10 * dense
+    dense = conv_opnorm_dense(g13, weights, cg.mean_zero_projector)
+    assert abs(ex.conv_opnorm(g13, weights, cg.mean_zero_projector) - dense) <= 1e-10 * dense
 
 
 @pytest.mark.parametrize("q", [5, 6, 10, 13, 15])
@@ -457,22 +459,21 @@ def test_conv_opnorm_blocks_match_lanczos_oracle(groups, q):
     weights = _random_measure(g, 50, q)
     for proj in (cg.mean_zero_projector, cg.new_space_projector(g)):
         want = conv_opnorm_lanczos(g, weights, proj)
-        assert abs(ex.conv_opnorm(g, weights, proj, svd_cap=0) - want) <= 1e-12 * want
+        assert abs(ex.conv_opnorm(g, weights, proj) - want) <= 1e-12 * want
 
 
-@pytest.mark.parametrize("q, svd_cap", [(5, ex.SVD_ORDER), (7, ex.SVD_ORDER), (6, 0), (10, 0), (13, 0), (15, 0)])
-def test_conv_opnorm_real_weights_match_complex(groups, q, svd_cap):
-    """A real measure takes real arithmetic (a real dense SVD, or half the blocks
-    from one rfft), except where the projector returns complex (the new-space
-    projector at composite q); cast to complex, it takes the complex path."""
+@pytest.mark.parametrize("q", [5, 6, 7, 10, 13, 15])
+def test_conv_opnorm_real_weights_match_complex(groups, q):
+    """A real measure takes real arithmetic (half the blocks from one rfft),
+    except where the projector returns complex (the new-space projector at
+    composite q); cast to complex, it takes the complex path."""
     g = groups(q)
     weights = _random_measure(g, 50, q).real
     for proj in (cg.mean_zero_projector, cg.new_space_projector(g)):
-        want = ex.conv_opnorm(g, weights.astype(complex), proj, svd_cap=svd_cap)
-        assert abs(ex.conv_opnorm(g, weights, proj, svd_cap=svd_cap) - want) <= 1e-12 * want
-    if svd_cap == 0:
-        want = conv_opnorm_lanczos(g, weights, cg.mean_zero_projector)
-        assert abs(ex.conv_opnorm(g, weights, cg.mean_zero_projector, svd_cap=0) - want) <= 1e-12 * want
+        want = ex.conv_opnorm(g, weights.astype(complex), proj)
+        assert abs(ex.conv_opnorm(g, weights, proj) - want) <= 1e-12 * want
+    want = conv_opnorm_lanczos(g, weights, cg.mean_zero_projector)
+    assert abs(ex.conv_opnorm(g, weights, cg.mean_zero_projector) - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("q", [6, 13])
@@ -490,8 +491,8 @@ def test_conv_opnorm_real_weights_take_half_the_blocks(groups, monkeypatch, q):
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
     weights = _random_measure(g, 50, q)
-    ex.conv_opnorm(g, weights.real, cg.mean_zero_projector, svd_cap=0)
-    ex.conv_opnorm(g, weights, cg.mean_zero_projector, svd_cap=0)
+    ex.conv_opnorm(g, weights.real, cg.mean_zero_projector)
+    ex.conv_opnorm(g, weights, cg.mean_zero_projector)
     assert shapes == [(o // 2 + 1, m, m), (o, m, m)]
 
 
@@ -566,7 +567,7 @@ def test_block_solvers_load_no_scipy(expansion):
         f"cayley_gap(build_return_set(model, 0, 0, {expansion['p']}), g)\n"
         "w = np.zeros(g.order, dtype=complex)\n"
         "w[:5] = 1.0\n"
-        "conv_opnorm(g, w, mean_zero_projector, svd_cap=0)\n"
+        "conv_opnorm(g, w, mean_zero_projector)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(thinlab.__file__).resolve().parents[1])
