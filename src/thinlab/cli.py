@@ -21,6 +21,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import congruence, decay, expander, thermo
 from .errors import ConfigParse, NoConvergence, NotGenerating, ThinlabError
 from .schottky import SchottkyData, build_markov_model, validate_schottky
@@ -209,11 +211,29 @@ def cmd_flatten(cfg, model, args):
     report = expander.flattening_pipeline(lab, group, _base_point(model), args.r // l, l, p,
                                           xi=1j * args.b, seed=cfg.seed)
     body = json.dumps(report.to_json_dict(), indent=2)
-    artifacts = [("flatten", "json", body)]
-    if len(congruence.factorize(q)) <= 3:
-        dec = congruence.NewSpaceDecomposition(group)
-        artifacts.append(("decomposition", "csv", congruence.decomposition_table_csv(dec, seed=cfg.seed)))
-    return body, artifacts
+    # the pipeline's new-space projector has already refused q with more than three primes
+    decomp = congruence.NewSpaceDecomposition(group)
+    return body, [("flatten", "json", body), ("decomposition", "csv", decomposition_table_csv(decomp, cfg.seed))]
+
+
+def decomposition_table_csv(decomp, seed):
+    """CSV body of per-(q, q') dimensions, indices, and norm-identity residuals
+    (the worst over five seeded random vectors per divisor)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for d in decomp.divisors[1:]:  # ascending, so d = 1 comes first
+        worst = 0.0
+        for _ in range(5):
+            phi = rng.standard_normal(decomp.group.order) + 1j * rng.standard_normal(decomp.group.order)
+            new = decomp.project_new(d, phi)
+            if np.linalg.norm(new) == 0:
+                continue
+            down = decomp.proj_down(d, new)
+            lhs = np.linalg.norm(new)
+            rhs = np.sqrt(decomp.spade(d)) * np.linalg.norm(down)
+            worst = max(worst, abs(lhs - rhs) / lhs)
+        rows.append([decomp.q, d, decomp.dim_new(d), decomp.spade(d), fmt(worst)])
+    return csv_body(["q", "q_prime", "dim_new", "spade", "norm_identity_residual"], rows)
 
 
 def cmd_decay(cfg, model, args):

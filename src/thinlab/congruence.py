@@ -112,9 +112,9 @@ class GroupModQ:
             raise KeyError("matrix not in SL2(Z/q) table")
         return pos.reshape(flat.shape[:-1])
 
-    def reduce(self, m):
-        """Index of an integer MobiusMap reduced mod q (entries of any size)."""
-        return int(self.index_of(np.array([e % self.q for e in m.tuple()], dtype=np.int64)))
+    def reduce(self, maps):
+        """Indices of a sequence of integer MobiusMaps reduced mod q (entries of any size)."""
+        return self.index_of(np.array([[e % self.q for e in m.tuple()] for m in maps], dtype=np.int64))
 
     def inv_perm(self):
         if self._inv_perm is None:
@@ -192,7 +192,7 @@ def cocycle_mod(model, word, group):
     word = tuple(word)
     if not symbolic.admissible(model.T, word):
         raise InadmissibleWord(f"word {word} is not admissible")
-    return group.reduce(model.word_cocycle(word))
+    return int(group.reduce([model.word_cocycle(word)])[0])
 
 
 # ---- fiber-valued functions on depth-D cylinders ----
@@ -204,14 +204,6 @@ class CongruenceFunction:
     depth: int
     words: np.ndarray    # symbolic.word_table(T, depth)
     values: np.ndarray  # (n_cylinders, order) complex
-
-    @classmethod
-    def build(cls, model, group, depth, fill=None):
-        words = symbolic.word_table(model.T, depth)
-        vals = np.zeros((len(words), group.order), dtype=complex)
-        if fill is not None:
-            vals[:] = fill
-        return cls(depth, words, vals)
 
     @classmethod
     def random(cls, model, group, depth, rng):
@@ -300,7 +292,7 @@ class CongruenceOperator:
         self.S = sparse.csr_matrix((np.exp(walk.f + 1j * float(b) * walk.tau), (rows, cols)),
                                    shape=(len(words), len(words)))
         bounds = np.searchsorted(words[:, 0], np.arange(model.N + 1))
-        self.blocks = [(bounds[j], bounds[j + 1], group.act(group.reduce(g))) for j, g in enumerate(model.gens)]
+        self.blocks = [(bounds[j], bounds[j + 1], group.act(c)) for j, c in enumerate(group.reduce(model.gens))]
 
     def apply(self, values):
         values = np.asarray(values, dtype=complex)
@@ -415,30 +407,3 @@ def new_space_projector(group):
     decomp = NewSpaceDecomposition(group)
     return lambda phi: decomp.project_new(group.q, phi)
 
-
-def decomposition_table_csv(decomp, seed=0):
-    """CSV body of per-(q, q') dimensions, indices, and norm-identity residuals
-    (the worst over five seeded random vectors per divisor)."""
-    import csv as _csv
-    import io as _io
-
-    rng = np.random.default_rng(seed)
-    buf = _io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(["q", "q_prime", "dim_new", "spade", "norm_identity_residual"])
-    for d in decomp.divisors:
-        if d == 1:
-            continue
-        worst = 0.0
-        for _ in range(5):
-            phi = rng.standard_normal(decomp.group.order) + 1j * rng.standard_normal(decomp.group.order)
-            new = decomp.project_new(d, phi)
-            if np.linalg.norm(new) == 0:
-                continue
-            down = decomp.proj_down(d, new)
-            lhs = np.linalg.norm(new)
-            rhs = np.sqrt(decomp.spade(d)) * np.linalg.norm(down)
-            worst = max(worst, abs(lhs - rhs) / lhs)
-        writer.writerow([decomp.q, d, decomp.dim_new(d), decomp.spade(d),
-                         format(worst, ".17g")])
-    return buf.getvalue()

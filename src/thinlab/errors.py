@@ -10,27 +10,21 @@ class ThinlabError(Exception):
 class ZeroLowerLeftEntry(ThinlabError):
     def __init__(self, index):
         super().__init__(f"generator {index}: lower-left entry is 0, no isometric disk")
-        self.index = index
 
 
 class NonHyperbolicGenerator(ThinlabError):
     def __init__(self, index, trace):
         super().__init__(f"generator {index}: |trace| = {abs(trace)} <= 2, not hyperbolic")
-        self.index = index
-        self.trace = trace
 
 
 class OverlappingDisks(ThinlabError):
     def __init__(self, i, j):
         super().__init__(f"isometric disk intervals {i} and {j} overlap or touch")
-        self.i = i
-        self.j = j
 
 
 class PoleHit(ThinlabError):
     def __init__(self, x):
         super().__init__(f"Moebius map evaluated at pole, x = {x}")
-        self.x = x
 
 
 # ---- symbolic dynamics ----
@@ -54,7 +48,6 @@ class RootNotBracketed(ThinlabError):
 class NotSquareFree(ThinlabError):
     def __init__(self, q):
         super().__init__(f"modulus {q} is not square-free")
-        self.q = q
 
 
 class TooLarge(ThinlabError):

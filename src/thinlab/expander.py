@@ -29,9 +29,6 @@ P_MAX = 4                 # highest return level detect_expansion tries
 
 @dataclass(frozen=True)
 class ReturnSet:
-    y: int
-    z: int
-    p: int
     elements: tuple          # integer MobiusMaps, deduplicated
 
 
@@ -49,13 +46,12 @@ def build_return_set(model, y, z, p):
             g = ma @ mb.inverse()
             seen.setdefault(g.tuple(), g)
     elements = tuple(seen[k] for k in sorted(seen))
-    return ReturnSet(y, z, p, elements)
+    return ReturnSet(elements)
 
 
 def reduced_generator_indices(S, group):
     """Sorted distinct indices of the return-set elements reduced mod q."""
-    flat = np.array([[e % group.q for e in m.tuple()] for m in S.elements], dtype=np.int64)
-    return np.unique(group.index_of(flat)).tolist()
+    return np.unique(group.reduce(S.elements)).tolist()
 
 
 def generates_full(S, group):
@@ -94,7 +90,7 @@ def detect_expansion(model, qs):
     for q in qs:
         group = GroupModQ.build(q)
         # strong approximation: the Schottky generators must fill SL2(Z/q)
-        if not generates_full(ReturnSet(-1, -1, 0, tuple(model.gens)), group)[0]:
+        if not generates_full(ReturnSet(tuple(model.gens)), group)[0]:
             bad.update(p for p, _ in congruence.factorize(q))
             continue
         smallest = None

@@ -74,7 +74,6 @@ IDENTITY = MobiusMap(1, 0, 0, 1)
 class IsometricDisk:
     center: float
     radius: float
-    owner: int
 
     @property
     def interval(self):
@@ -109,7 +108,7 @@ class SchottkyData:
         m = self.symbol_matrix(j)
         if m.c == 0:
             raise ZeroLowerLeftEntry(j % self.rank)
-        return IsometricDisk(-m.d / m.c, 1.0 / abs(m.c), j)
+        return IsometricDisk(-m.d / m.c, 1.0 / abs(m.c))
 
     @classmethod
     def from_matrices(cls, mats):
@@ -194,9 +193,7 @@ class MarkovModel:
     def __init__(self, data):
         report = validate_schottky(data)
         report.raise_if_failed()
-        self.data = data
         self.N = data.n_symbols
-        self.rank = data.rank
         self.gens = [data.symbol_matrix(j) for j in range(self.N)]
         self.gens_inv = [m.inverse() for m in self.gens]
         # (4, N) coefficients (a, b, c, d) of each symbol's map, read per point
@@ -206,12 +203,10 @@ class MarkovModel:
         self.coef_inv = np.array([m.tuple() for m in self.gens_inv], dtype=float).T
         self.intervals = np.array([data.disk(j).interval for j in range(self.N)])
         bar = np.array([data.bar(j) for j in range(self.N)])
-        self.bar = bar
         T = np.ones((self.N, self.N), dtype=np.int8)
         T[np.arange(self.N), bar] = 0
         self.T = T
         self.theta = self._max_contraction()
-        self.tau_min, self.tau_max = self._roof_bounds()
 
     # ---- branches ----
 
@@ -245,12 +240,6 @@ class MarkovModel:
         # endpoint evaluation is exact
         pairs = zip(*np.nonzero(self.T))
         return max(abs(self.gens_inv[j].apply(x)[1]) for j, k in pairs for x in self.intervals[k])
-
-    def _roof_bounds(self):
-        j, k = np.nonzero(self.T)
-        vals = self.tau(j[:, None], self.inv_branch(j[:, None], self.intervals[k]))
-        return float(vals.min()), float(vals.max())
-
 
 def build_markov_model(data):
     """Derive the Markov coding from validated Schottky data."""

@@ -128,15 +128,9 @@ def assert_admissible(T, x):
 def omega_tail(T, y):
     """Deterministic continuation after symbol y: the smallest symbol admissible
     after y, repeated forever (constant words are always admissible here)."""
-    n = T.shape[0]
-    for k in range(n):
+    for k in range(T.shape[0]):
         if T[y, k] and T[k, k]:
             return SymbolicPoint((), (k,))
-    for k in range(n):  # fall back to the smallest admissible 2-cycle
-        if T[y, k]:
-            for m in range(n):
-                if T[k, m] and T[m, k]:
-                    return SymbolicPoint((), (k, m))
     raise InadmissibleWord(f"symbol {y} has no admissible continuation")
 
 

@@ -96,6 +96,7 @@ PRESSURE_TOL = 1e-12
 # a0': every normalized potential f^(a) has |a| < A0P, the range the measured
 # constants cover
 A0P = 0.05
+B0 = 1.0  # small_b_C1 covers the twist frequencies |b| <= B0
 
 
 def dense_leading(M):
@@ -119,10 +120,9 @@ def dense_leading(M):
 class RpfSolution:
     """Leading eigendata of the raw operator at potential -(delta + a) tau."""
 
-    a: float
-    lam: float
+    lam: float           # positive
     h: np.ndarray        # (N, m) positive eigenfunction values
-    nu: np.ndarray       # (N, m) nonnegative quadrature weights, total mass 1
+    nu: np.ndarray       # (N, m) signed quadrature weights, total mass 1
     gap: float           # |second eigenvalue| / lam
     residual: float      # ||M h - lam h|| / lam of the collocation eigenpair
 
@@ -158,7 +158,10 @@ def critical_exponent(model, grid, max_iter=200):
 
 
 def rpf_solve(model, grid, a, delta):
-    """RPF eigendata (lam_a, h_a, nu_a, gap) at the potential -(delta + a) tau."""
+    """RPF eigendata (lam_a, h_a, nu_a, gap) at the potential -(delta + a) tau;
+    NoConvergence unless lam_a and every value of h_a are positive, as they are
+    for the Perron root (far from delta the weights underflow, and the leading
+    pair is rounding noise)."""
     M = assemble_transfer(model, grid, -(delta + a))
     lam, h, rho2, residual = dense_leading(M)
     nu = dense_leading(M.T)[1]
@@ -168,9 +171,10 @@ def rpf_solve(model, grid, a, delta):
         nu = -nu
     nu = nu / nu.sum()
     h = h / (nu @ h)
+    if not (lam > 0 and (h > 0).all()):
+        raise NoConvergence(f"leading eigenvalue {lam:.17g}, min h {h.min():.17g}: not a Perron pair at a = {a}")
     m = grid.m
-    return RpfSolution(a, float(lam), h.reshape(model.N, m), nu.reshape(model.N, m), rho2 / lam,
-                       residual)
+    return RpfSolution(float(lam), h.reshape(model.N, m), nu.reshape(model.N, m), rho2 / lam, residual)
 
 
 class NormalizedPotential:
@@ -181,7 +185,6 @@ class NormalizedPotential:
         self.grid = grid
         self.a = a
         self.delta = delta
-        self.lam_a = lam_a
         self.loglam = float(np.log(lam_a))
         self.h0 = h0
 
@@ -215,11 +218,12 @@ class PotentialConstants:
     """Measured constants feeding every later schedule and bound."""
 
     theta: float
-    C_theta: float
     T0: float
     A_f: float
-    C_f: float
-    b0: float = 1.0
+
+    @property
+    def C_f(self):
+        return float(np.exp(self.A_f * A0P))
 
     @property
     def theta_factor(self):
@@ -227,7 +231,7 @@ class PotentialConstants:
 
     def small_b_C1(self):
         t = self.T0 * self.theta_factor
-        return max(1.0, (1.0 + self.b0) * t * np.exp(t))
+        return max(1.0, (1.0 + B0) * t * np.exp(t))
 
     def mu_hat_nu_C(self):
         return float(np.exp(self.T0 * self.theta_factor))
@@ -293,8 +297,8 @@ class ThermoLab:
         f_sup = max(np.abs(fa).max() for fa in f.values())
         A_f = 1.05 * max(np.abs(f[a] - f[0.0]).max() / abs(a) for a in a_samples if a != 0.0)
 
-        # T0 and C_theta: empirical theta-metric difference quotients of tau and
-        # f^(a) over sampled pairs (x, y), stored interleaved x, y, x, y, ...
+        # T0: empirical theta-metric difference quotients of tau and f^(a) over
+        # sampled pairs (x, y), stored interleaved x, y, x, y, ...
         rng = np.random.default_rng(0)
         pairs = lip_quotient_pairs(model, rng, depths=range(0, 9), samples_per_depth=60)
         scale = np.array([self.theta**m_agree for m_agree, _, _ in pairs])
@@ -305,18 +309,9 @@ class ThermoLab:
         def quotient(vals):
             return np.max(np.abs(vals[0::2] - vals[1::2]) / scale)
 
-        c_theta = float(quotient(px))
         t0 = max(1.0, quotient(model.tau(s0, px)),
                  *(quotient(pots[a].f_step(s0, s1, px)) for a in a_samples))
-        T0 = 1.25 * max(t0, f_sup)
-        C_f = float(np.exp(A_f * A0P))
-        return PotentialConstants(
-            theta=self.theta,
-            C_theta=1.05 * c_theta,
-            T0=T0,
-            A_f=A_f,
-            C_f=C_f,
-        )
+        return PotentialConstants(theta=self.theta, T0=1.25 * max(t0, f_sup), A_f=A_f)
 
     # ---- cylinder data on depth-D words ----
 
@@ -370,7 +365,7 @@ class Walk:
         self.f = np.zeros(self.v.size)
         self.tau = np.zeros(self.v.size)
         self.cidx = None if group is None else np.full(self.v.size, group.identity)
-        self.perms = None if group is None else np.array([group.left_mul_perm(group.reduce(g)) for g in model.gens])
+        self.perms = None if group is None else np.array([group.left_mul_perm(c) for c in group.reduce(model.gens)])
 
     @classmethod
     def from_point(cls, model, pot, x, group=None):

@@ -25,6 +25,13 @@ def intervals_disjoint(intervals, margin=1e-9):
     return all(b[0] - a[1] > margin for a, b in zip(ivs, ivs[1:]))
 
 
+def constant_function(model, group, depth, value):
+    """The depth-D CongruenceFunction equal to `value` on every cylinder and fiber."""
+    from thinlab import CongruenceFunction, symbolic
+    words = symbolic.word_table(model.T, depth)
+    return CongruenceFunction(depth, words, np.full((len(words), group.order), value, dtype=complex))
+
+
 def mobius_pair(mat, x):
     a, b, c, d = mat
     return (a * x + b) / (c * x + d)
@@ -244,7 +251,7 @@ def congruence_apply_branches(lab, group, b, a, depth, values):
         if group.q == 1:
             perm = np.array([0])
         else:
-            perm = group.act(group.reduce(model.gens[j]))
+            perm = group.act(group.reduce([model.gens[j]])[0])
         out[mask] += weight[:, None] * values[src][:, perm]
     return out
 
@@ -435,7 +442,7 @@ def walk_step_per_symbol(walk, symbols):
 
 
 def measure_constants_per_point(lab):
-    """(theta, C_theta, T0, A_f, C_f) measured branch by branch and pair by
+    """(theta, T0, A_f, C_f) measured branch by branch and pair by
     pair: f^(a) on each admissible branch (j, k) at the nodes of U_k, then at
     each sampled symbolic point on its own.  A regression oracle for
     ThermoLab.constants, which measures all branches and points at once."""
@@ -469,19 +476,17 @@ def measure_constants_per_point(lab):
     rng = np.random.default_rng(0)
     pairs = symbolic.lip_quotient_pairs(model, rng, depths=range(0, 9), samples_per_depth=60)
     t0 = 1.0
-    c_theta = 0.0
     for m_agree, x, y in pairs:
         scale = lab.theta**m_agree
         px = symbolic.eval_point(model, x)
         py = symbolic.eval_point(model, y)
-        c_theta = max(c_theta, abs(px - py) / scale)
         tx = float(model.tau(x.symbol(0), px))
         ty = float(model.tau(y.symbol(0), py))
         t0 = max(t0, abs(tx - ty) / scale)
         for a in a_samples:
             t0 = max(t0, abs(f_at(pots[a], x, px) - f_at(pots[a], y, py)) / scale)
     T0 = 1.25 * max(t0, f_sup)
-    return lab.theta, 1.05 * c_theta, T0, A_f, float(np.exp(A_f * A0P))
+    return lab.theta, T0, A_f, float(np.exp(A_f * A0P))
 
 
 def conv_opnorm_dense(group, weights, projector):

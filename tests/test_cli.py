@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import thinlab
-from thinlab.cli import main
+from thinlab import NewSpaceDecomposition
+from thinlab.cli import decomposition_table_csv, main
 
 EXAMPLE = {"generators": [[[2, 3], [1, 2]], [[6, 35], [1, 6]]]}
 DROP = object()  # a config value that removes its key
@@ -187,6 +188,25 @@ def test_rpf_takes_a_past_a0p(config, tmp_path, capsys):
     assert main(["rpf", "--config", config, "--a", "0.3", "--out", str(tmp_path / "out")]) == 0
 
 
+def test_rpf_far_from_delta_keeps_a_positive_h(config, tmp_path, capsys):
+    # lambda = 7.5e-24 at a = 20, still a Perron pair
+    out = tmp_path / "out"
+    assert main(["rpf", "--config", config, "--a", "20", "--out", str(out)]) == 0
+    rows = (out / _artifacts(out, "rpf")[0]).read_text().splitlines()[1:]
+    assert float(json.loads(capsys.readouterr().out)["lambda"]) > 0
+    assert all(float(row.split(",")[3]) > 0 for row in rows)
+
+
+# a = 800: the weights underflow, so M = 0 and its leading pair is 0 with a zero h;
+# a = 30: the leading eigenvalue is -5.5e-33 and h changes sign.  Both exited 0.
+@pytest.mark.parametrize("a", ["800", "30"])
+def test_rpf_without_a_perron_pair_exits_3(config, tmp_path, capsys, a):
+    out = tmp_path / "out"
+    assert main(["rpf", "--config", config, "--a", a, "--out", str(out)]) == 3
+    assert "not a Perron pair" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 # a non-finite float flag is an argument error: exit 2 before any work, nothing written
 NON_FINITE = [
     ("twist", ["--b", "inf"]),        # an OverflowError traceback
@@ -305,6 +325,17 @@ def test_each_command_prints_and_writes_its_artifacts(config, tmp_path, capsys, 
         assert set(json.loads(printed)) == {"a", "lambda", "gap"}  # the summary, not the CSV
     else:
         assert printed == (out / names[written[0]]).read_text().rstrip("\n") + "\n"
+
+def test_decomposition_table_csv(groups):
+    dec = NewSpaceDecomposition(groups(15))
+    body = decomposition_table_csv(dec, seed=1)
+    lines = body.splitlines()
+    assert lines[0] == "q,q_prime,dim_new,spade,norm_identity_residual"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[1]) for r in rows] == [3, 5, 15]
+    assert sum(int(r[2]) for r in rows) + 1 == groups(15).order
+    assert all(float(r[4]) <= 1e-9 for r in rows)
+    assert decomposition_table_csv(dec, seed=1) == body
 
 
 def test_cli_import_loads_no_scipy():

@@ -10,8 +10,8 @@ from thinlab import (
 from thinlab import congruence as cg
 from thinlab.errors import ModulusMismatch, NotInNewSpace, NotSquareFree, TooLarge
 
-from oracles import (compose_mod, congruence_apply_branches, conv_opnorm_dense, fiber_perms_full_group,
-                     sl2_count_bruteforce)
+from oracles import (compose_mod, congruence_apply_branches, constant_function, conv_opnorm_dense,
+                     fiber_perms_full_group, sl2_count_bruteforce)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 6, 7, 10, 15])
@@ -134,7 +134,7 @@ def test_apply_rejects_wrong_fiber_shape(lab, groups, shape):
 
 def test_fiber_constant_fixed_at_zero(model, lab, groups):
     g5 = groups(5)
-    H = CongruenceFunction.build(model, g5, 4, fill=1.0)
+    H = constant_function(model, g5, 4, 1.0)
     out = cg.CongruenceOperator(lab, g5, 0.0, 4).apply_k(H.values, 4)
     assert np.abs(out - 1.0).max() <= 1e-10
 
@@ -159,7 +159,7 @@ def test_fiber_action_unitary(model, groups):
     rng = np.random.default_rng(3)
     phi = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
     for j in range(model.N):
-        idx = g.reduce(model.gens[j])
+        idx = g.reduce([model.gens[j]])[0]
         perm = g.act(idx)
         assert len(np.unique(perm)) == g.order
         assert np.array_equal(np.sort(np.abs(phi[perm])), np.sort(np.abs(phi)))
@@ -346,18 +346,6 @@ def test_commutation_and_equivariance(model, lab, groups):
                 Md = cg.CongruenceOperator(lab, sub, xi.imag, 4, a=xi.real).apply(Hd.values)
                 assert np.abs(down.values - Md).max() <= 1e-9 * scale
 
-
-def test_decomposition_table_csv(groups):
-    from thinlab.congruence import decomposition_table_csv
-    dec = NewSpaceDecomposition(groups(15))
-    body = decomposition_table_csv(dec, seed=1)
-    lines = body.splitlines()
-    assert lines[0] == "q,q_prime,dim_new,spade,norm_identity_residual"
-    rows = [line.split(",") for line in lines[1:]]
-    assert [int(r[1]) for r in rows] == [3, 5, 15]
-    assert sum(int(r[2]) for r in rows) + 1 == groups(15).order
-    assert all(float(r[4]) <= 1e-9 for r in rows)
-    assert decomposition_table_csv(dec, seed=1) == body
 
 
 def test_pythagoras_across_decomposition(model, lab, groups):

