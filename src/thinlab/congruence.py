@@ -142,31 +142,21 @@ class GroupModQ:
             self._coords = (cells, *np.divmod(np.argsort(cells, axis=None), cells.shape[1]))
         return self._coords
 
-    def left_mul_perm(self, i):
-        """Permutation g -> elem_i * g as an index array (cached), read off act(i)."""
-        return self._perm("l", i)
-
     def act(self, c):
         """The fiber action of c: the index permutation p with
         (delta_c * phi)(g) = phi(g c^{-1}) = phi[p][g] (cached).  It commutes with the left
         action of coset_coords' <[[-1, -1], [0, -1]]>, so p takes only m lookups, of k_j c^{-1}."""
-        return self._perm("a", c)
-
-    def _perm(self, side, i):
-        key = (side, int(i))
+        key = int(c)
         perm = self._perm_cache.get(key)
         if perm is None:
-            # at most 25,000,000 cached indices (200 MB) whatever the group size; an "l" key also caches its "a"
+            # at most 25,000,000 cached indices (200 MB) whatever the group size
             if len(self._perm_cache) >= max(64, min(4096, 25_000_000 // self.order)):
                 self._perm_cache.clear()
-            if side == "l":  # x g = (g^{-1} x^{-1})^{-1}
-                perm = self.inv_perm()[self.act(i)[self.inv_perm()]]
-            else:
-                cells, t_of, i_of = self.coset_coords()
-                h_inv = (self.elems[i][[3, 1, 2, 0]] * [1, -1, -1, 1]).reshape(2, 2)
-                # shift[j] = k_j h^{-1} = c^{t'} k_{j'}, so c^t k_j h^{-1} = c^{t + t'} k_{j'}
-                shift = self.index_of((self.elems[cells[0]].reshape(-1, 2, 2) @ h_inv).reshape(-1, 4))
-                perm = self._cells2[t_of + t_of[shift][i_of], i_of[shift][i_of]]
+            cells, t_of, i_of = self.coset_coords()
+            h_inv = (self.elems[key][[3, 1, 2, 0]] * [1, -1, -1, 1]).reshape(2, 2)
+            # shift[j] = k_j h^{-1} = c^{t'} k_{j'}, so c^t k_j h^{-1} = c^{t + t'} k_{j'}
+            shift = self.index_of((self.elems[cells[0]].reshape(-1, 2, 2) @ h_inv).reshape(-1, 4))
+            perm = self._cells2[t_of + t_of[shift][i_of], i_of[shift][i_of]]
             self._perm_cache[key] = perm
         return perm
 

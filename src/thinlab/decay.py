@@ -138,5 +138,5 @@ def twisted_radius(lab, b, degree=None):
     if h.sum() < 0:
         h = -h
     pot = NormalizedPotential(model, grid, 0.0, lab.delta, float(lam0), h.reshape(model.N, degree))
-    lam = dense_leading(assemble_transfer(model, grid, 1j * float(b), normalized=True, potential=pot))[0]
+    lam = dense_leading(assemble_transfer(model, grid, 1j * float(b), potential=pot))[0]
     return float(abs(lam))

@@ -73,7 +73,7 @@ def generates_full(S, group):
             nxt = np.unique(np.concatenate([perm[frontier] for perm in perms]))
             frontier = nxt[~inside[nxt]]
     closure = int(np.count_nonzero(inside))
-    return closure == group.order, {"closure_size": closure, "n_generators": len(gens)}
+    return closure == group.order, {"closure_size": closure}
 
 
 def detect_expansion(model, qs):
@@ -206,7 +206,7 @@ def build_measures(lab, group, x, r, s, tail, xi):
     np.add.at(mu_hat, atoms, np.exp(walk.f))
     np.add.at(nu0, atoms, np.exp(f_r))
     omega = omega_tail(lab.model.T, tail[-1])
-    _, _, f_tail = symbolic.birkhoff(lab.potential(a), tail, omega)
+    f_tail = symbolic.birkhoff(lab.potential(a), tail, omega)
     nu = float(np.exp(f_tail)) * nu0
     return {
         "mu": MeasureOnFq(mu),
@@ -299,8 +299,10 @@ def conv_opnorm(group, weights, projector, svd_cap=SVD_ORDER):  # svd_cap is unr
     # F[t, j, i] = P(weights)(k_j^{-1} c^t k_i); transformed, F[chi] is block chi transposed
     pw = projector(weights)
     F = np.empty((o, m, m), dtype=pw.dtype)
-    for j, k_inv in enumerate(group.inv_perm()[cells[0]]):
-        F[:, j, :] = pw[group.left_mul_perm(k_inv)[cells]]
+    inv = group.inv_perm()
+    pw_inv, inv_cells = pw[inv], inv[cells]
+    for j, k_inv in enumerate(inv[cells[0]]):  # k_j^{-1} g = (g^{-1} k_j)^{-1}
+        F[:, j, :] = pw_inv[group.act(k_inv)[inv_cells]]
     if np.iscomplexobj(F):
         np.fft.fft(F, axis=0, out=F)
     else:
@@ -522,7 +524,7 @@ def _nu1_block(lab, group, x, j, r_prime, u, outer, p, a):
         return None, None
     f = f_p if j == r_prime else walk.f
     if j == 1:
-        f = f + symbolic.birkhoff(lab.potential(a), u, x)[2]
+        f = f + symbolic.birkhoff(lab.potential(a), u, x)
     E = np.exp(f)
     eta = np.zeros(group.order)
     # right multiplication by c(u[:-1]) is the fiber action of its inverse

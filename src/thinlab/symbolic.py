@@ -1,5 +1,5 @@
 """Subshift-of-finite-type layer: admissibility, word tables, symbolic points,
-and Birkhoff sums of the roof and the normalized potential along words.
+and Birkhoff sums of the normalized potential along words.
 
 A word prepended to a symbolic point x contributes one orbit step per word
 symbol; for word w = (w_0, ..., w_{k-1}) the concatenated sequence is
@@ -164,25 +164,21 @@ def eval_point(model, x, check=True):
 # ---- Birkhoff sums ----
 
 def birkhoff(potential, alpha, x):
-    """Birkhoff sums (tau, cocycle matrix, f^(a)) of word alpha prepended to x.
-
-    `potential` carries the normalized-potential data at its parameter a; the
-    sums come from a one-leaf prepend walk (thermo.Walk) stepped one symbol at
-    a time, innermost first, and the cocycle is the exact integer product of
-    step matrices in ascending order (MarkovModel.word_cocycle).
-    """
+    """Birkhoff sum of f^(a) along word alpha prepended to x, where `potential` carries
+    the normalized-potential data at its parameter a: a one-leaf prepend walk
+    (thermo.Walk) stepped one symbol at a time, innermost first."""
     from .thermo import Walk  # thermo imports this module
 
     model = potential.model
     alpha = tuple(alpha)
     if len(alpha) == 0:
-        return 0.0, IDENTITY, 0.0
+        return 0.0
     if not admissible(model.T, alpha + (x.first,)):
         raise InadmissibleWord(f"word {alpha} cannot be prepended to x starting at {x.first}")
     walk = Walk.from_point(model, potential, x)  # InadmissibleWord unless x is admissible
     for j in reversed(alpha):
         walk.step([j])
-    return float(walk.tau[0]), model.word_cocycle(alpha), float(walk.f[0])
+    return float(walk.f[0])
 
 
 def lip_quotient_pairs(model, rng, depths, samples_per_depth):

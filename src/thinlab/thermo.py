@@ -63,26 +63,23 @@ class CollocationGrid:
         return self.bary_matrix(j, x) @ values_j
 
 
-def assemble_transfer(model, grid, xi, normalized=False, potential=None):
+def assemble_transfer(model, grid, xi, potential=None):
     """Dense collocation matrix of the transfer operator at parameter xi.
 
-    Raw weight is exp(xi * tau); normalized weight is exp(f^(a) + i b tau) with
-    a = Re(xi) pinned to the potential's parameter.
+    Raw weight is exp(xi * tau); given a NormalizedPotential, the normalized
+    weight exp(f^(a) + i b tau) with a = Re(xi) pinned to the potential's parameter.
     """
     xi = complex(xi)
-    if normalized:
-        if potential is None:
-            raise ValueError("normalized assembly needs a NormalizedPotential")
-        if abs(xi.real - potential.a) > 1e-12:
-            raise ValueError(f"Re(xi) = {xi.real} does not match potential a = {potential.a}")
+    if potential is not None and abs(xi.real - potential.a) > 1e-12:
+        raise ValueError(f"Re(xi) = {xi.real} does not match potential a = {potential.a}")
     m, N = grid.m, model.N
     k, i, j, u = grid.branches
     v = model.inv_branch(j, u)
     tau = model.tau(j, v)
-    if normalized:
-        w = np.exp(potential.f_step(j, k, v, u) + 1j * xi.imag * tau)
-    else:
+    if potential is None:
         w = np.exp(xi * tau)
+    else:
+        w = np.exp(potential.f_step(j, k, v, u) + 1j * xi.imag * tau)
     M = np.zeros((N * m, N, m), dtype=complex)
     M[k * m + i, j] += w[:, None] * grid.bary_matrix(j, v)
     M = M.reshape(N * m, N * m)
@@ -104,12 +101,16 @@ def dense_leading(M):
     unit eigenvector, the second-largest eigenvalue modulus and the relative
     residual ||M v - lam v|| / |lam|, from one dense LAPACK solve.  For a real
     M the pair comes back real, so a complex leading pair fails the residual
-    check; NoConvergence when the residual exceeds RESIDUAL_TOL."""
+    check.  NoConvergence for a non-finite M, lam = 0 or a residual above RESIDUAL_TOL."""
+    if not np.isfinite(M).all():
+        raise NoConvergence("the matrix has non-finite entries")
     w, V = np.linalg.eig(M)
     order = np.argsort(np.abs(w))
     lam, v = w[order[-1]], V[:, order[-1]]
     if np.isrealobj(M):
         lam, v = lam.real, v.real
+    if not abs(lam) > 0:
+        raise NoConvergence("leading eigenvalue 0: not a Perron pair")
     residual = float(np.linalg.norm(M @ v - lam * v))
     if not residual <= RESIDUAL_TOL * abs(lam):
         raise NoConvergence(f"leading eigenpair residual {residual:.3e} exceeds {RESIDUAL_TOL:g} * |lambda|")
@@ -364,8 +365,11 @@ class Walk:
         self.logh = pot.logh0_at(self.sym, self.v)
         self.f = np.zeros(self.v.size)
         self.tau = np.zeros(self.v.size)
-        self.cidx = None if group is None else np.full(self.v.size, group.identity)
-        self.perms = None if group is None else np.array([group.left_mul_perm(c) for c in group.reduce(model.gens)])
+        self.cidx = self.perms = None
+        if group is not None:  # perms[k][g] = g_k g = (g^{-1} g_k^{-1})^{-1}
+            inv = group.inv_perm()
+            self.cidx = np.full(self.v.size, group.identity)
+            self.perms = np.array([inv[group.act(c)[inv]] for c in group.reduce(model.gens)])
 
     @classmethod
     def from_point(cls, model, pot, x, group=None):

@@ -118,8 +118,8 @@ def compose_mod(x, y, q):
 
 
 def fiber_perms_full_group(group, h):
-    """(act(h), left_mul_perm(h)) from one explicit product per group element:
-    g -> g elem_h^{-1} and g -> elem_h g, each located by index_of."""
+    """(act(h), left multiplication by h) from one explicit product per group
+    element: g -> g elem_h^{-1} and g -> elem_h g, each located by index_of."""
     a, b, c, d = group.elems[h]
     h_inv = np.array([d, -b, -c, a]) % group.q
     act = group.index_of(compose_mod(group.elems, h_inv[None, :], group.q))
@@ -136,7 +136,8 @@ def min_nontrivial_irrep_dim(group, seed=0):
     # full conjugation table: conj[g, x] = index of elem_g elem_x elem_g^{-1}
     conj = np.empty((n, n), dtype=np.int64)
     for g in range(n):
-        conj[g] = group.act(g)[group.left_mul_perm(g)]
+        right = group.act(g)  # x -> x elem_g^{-1}, so x -> elem_g x is inv[right[inv]]
+        conj[g] = right[inv[right[inv]]]
     cls = -np.ones(n, dtype=int)
     n_cls = 0
     for i in range(n):
@@ -285,7 +286,7 @@ def build_measures_fresh(lab, group, x, r, s, tail, xi):
     np.add.at(mu, cidx_atoms, np.exp(walk.f + 1j * b * walk.tau))
     np.add.at(mu_hat, cidx_atoms, np.exp(walk.f))
     np.add.at(nu0, cidx_atoms, np.exp(f_r))
-    _, _, f_tail = symbolic.birkhoff(lab.potential(a), tail, symbolic.omega_tail(lab.model.T, tail[-1]))
+    f_tail = symbolic.birkhoff(lab.potential(a), tail, symbolic.omega_tail(lab.model.T, tail[-1]))
     nu = float(np.exp(f_tail)) * nu0
     return {"mu": mu, "nu0": nu0, "mu_hat": mu_hat, "nu": nu, "n_words": walk.size()}
 
@@ -364,9 +365,9 @@ def approx_residuals_longdouble(lab, group, H, xi, r, s):
 
 
 def birkhoff_scalar(potential, alpha, x):
-    """symbolic.birkhoff's sums by a scalar loop over the symbols of alpha,
-    innermost first: the preimage point, the step roof and the step f, one
-    evaluation each, with the cocycle from MarkovModel.word_cocycle."""
+    """(tau, f): the Birkhoff sums of the roof and of symbolic.birkhoff's f^(a)
+    by a scalar loop over the symbols of alpha, innermost first: the preimage
+    point, the step roof and the step f, one evaluation each."""
     from thinlab import symbolic
 
     model = potential.model
@@ -381,7 +382,7 @@ def birkhoff_scalar(potential, alpha, x):
         tau_sum += step_tau
         f_sum += potential.f_from_parts(step_tau, logh_new, logh)
         logh = logh_new
-    return tau_sum, model.word_cocycle(alpha), f_sum
+    return tau_sum, f_sum
 
 
 def closure_size_bfs(mats, q):
@@ -634,11 +635,11 @@ def _eta_weights(lab, group, a, y, u_part, u_next, p, j, r_prime, x):
     for w in pwords:
         pw = w[1:-1]
         if j == 1:
-            _, _, fE = symbolic.birkhoff(pot, u_next + pw + u_part, x)
+            fE = symbolic.birkhoff(pot, u_next + pw + u_part, x)
         elif j < r_prime:
-            _, _, fE = symbolic.birkhoff(pot, u_next + pw, base)
+            fE = symbolic.birkhoff(pot, u_next + pw, base)
         else:
-            _, _, fE = symbolic.birkhoff(pot, pw, base)
+            fE = symbolic.birkhoff(pot, pw, base)
         E = float(np.exp(fE))
         evals.append(E)
         atom_word = (y,) + pw + u_part[:-1]

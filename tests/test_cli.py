@@ -199,11 +199,12 @@ def test_rpf_far_from_delta_keeps_a_positive_h(config, tmp_path, capsys):
 
 # a = 800: the weights underflow, so M = 0 and its leading pair is 0 with a zero h;
 # a = 30: the leading eigenvalue is -5.5e-33 and h changes sign.  Both exited 0.
-@pytest.mark.parametrize("a", ["800", "30"])
+# a = -800: the weights overflow, so M holds inf and nan.  It exited 2 with LinAlgError.
+@pytest.mark.parametrize("a", ["800", "30", "-800"])
 def test_rpf_without_a_perron_pair_exits_3(config, tmp_path, capsys, a):
     out = tmp_path / "out"
     assert main(["rpf", "--config", config, "--a", a, "--out", str(out)]) == 3
-    assert "not a Perron pair" in capsys.readouterr().err
+    assert ("non-finite entries" if a == "-800" else "not a Perron pair") in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

@@ -8,7 +8,9 @@ from thinlab import (
     cocycle_mod,
 )
 from thinlab import congruence as cg
+from thinlab import symbolic as sym
 from thinlab.errors import ModulusMismatch, NotInNewSpace, NotSquareFree, TooLarge
+from thinlab.thermo import Walk
 
 from oracles import (compose_mod, congruence_apply_branches, constant_function, conv_opnorm_dense,
                      fiber_perms_full_group, sl2_count_bruteforce)
@@ -197,15 +199,17 @@ def test_convolution_matrix_keeps_real_weights_real(groups, q):
 
 @pytest.mark.parametrize("q, n_sampled", [(1, None), (2, None), (3, None), (5, None), (6, None),
                                             (10, None), (15, None), (35, 200)])
-def test_fiber_perms_match_full_group_products(q, n_sampled):
-    # act and left_mul_perm, built in coset coordinates, against one explicit
-    # product per element: every h, or n_sampled seeded h
+def test_fiber_perms_match_full_group_products(q, n_sampled, model, lab):
+    # act, built in coset coordinates, against one explicit product per element
+    # (every h, or n_sampled seeded h), and the left multiplications by the
+    # generators that a Walk reads off act through inversion against theirs
     g = GroupModQ.build(q)
     hs = range(g.order) if n_sampled is None else np.random.default_rng(q).integers(g.order, size=n_sampled)
     for h in hs:
-        act, left = fiber_perms_full_group(g, h)
-        assert np.array_equal(g.act(h), act)
-        assert np.array_equal(g.left_mul_perm(h), left)
+        assert np.array_equal(g.act(h), fiber_perms_full_group(g, h)[0])
+    walk = Walk.from_point(model, lab.potential(0.0), sym.point((0,), (1,)), g)
+    for perm, c in zip(walk.perms, g.reduce(model.gens), strict=True):
+        assert np.array_equal(perm, fiber_perms_full_group(g, c)[1])
 
 
 def test_act_looks_up_one_product_per_coset(monkeypatch):

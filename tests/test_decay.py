@@ -6,7 +6,7 @@ from thinlab import symbolic as sym
 from thinlab.congruence import CongruenceOperator, cf_l2_norm
 from thinlab.thermo import CollocationGrid, NormalizedPotential, assemble_transfer, dense_leading, rpf_solve
 
-from oracles import constant_function, growth_rate
+from oracles import birkhoff_scalar, constant_function, growth_rate
 
 
 def _normalized_operator(lab, b, degree):
@@ -15,7 +15,7 @@ def _normalized_operator(lab, b, degree):
     grid = CollocationGrid(lab.model, degree)
     sol = rpf_solve(lab.model, grid, 0.0, delta=lab.delta)
     pot = NormalizedPotential(lab.model, grid, 0.0, lab.delta, sol.lam, sol.h)
-    M = assemble_transfer(lab.model, grid, 1j * b, normalized=True, potential=pot)
+    M = assemble_transfer(lab.model, grid, 1j * b, potential=pot)
     return M, (sol.nu * sol.h).reshape(-1)
 
 
@@ -37,8 +37,8 @@ def _random_word_and_pair(model, rng, s):
 def _distortion(lab, word, m, x, y, b):
     # |1 - exp(Delta(f + i b tau))| along the word over the distance theta^m of x and y
     pot = lab.potential(0.0)
-    tx, _, fx = sym.birkhoff(pot, word, x)
-    ty, _, fy = sym.birkhoff(pot, word, y)
+    tx, fx = birkhoff_scalar(pot, word, x)
+    ty, fy = birkhoff_scalar(pot, word, y)
     return abs(1.0 - np.exp((fy - fx) + 1j * b * (ty - tx))) / lab.constants().theta ** m
 
 

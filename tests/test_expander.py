@@ -346,10 +346,10 @@ def test_nu1_atom_identity(model, lab, groups):
         # u_1 = head[3:4]
         # j = 1 coefficient: f_{2l-p}(u_2 + p_1 + u_1, x) over 3 symbols
         w1 = head[1:]
-        _, _, f1 = sym.birkhoff(pot, w1, x)
+        f1 = sym.birkhoff(pot, w1, x)
         # j = r' = 2: f_p(p_2, (u_2, omega)) with p_2 = head[0:1], u_2 = head[1:2]
         base = sym.SymbolicPoint(head[1:2], sym.omega_tail(model.T, head[1]).period)
-        _, _, f2 = sym.birkhoff(pot, head[0:1], base)
+        f2 = sym.birkhoff(pot, head[0:1], base)
         coc = IDENTITY
         for jsym in (tail[-1],) + head:
             coc = coc @ model.gens[jsym]

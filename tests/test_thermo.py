@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def test_raw_operator_counts_branches(model, lab):
 
 def test_normalized_fixes_constants(model, lab):
     pot = lab.potential(0.0)
-    M = assemble_transfer(model, lab.grid, 0.0, normalized=True, potential=pot)
+    M = assemble_transfer(model, lab.grid, 0.0, potential=pot)
     ones = np.ones(model.N * lab.grid.m)
     assert np.abs(M @ ones - 1.0).max() <= 1e-10
 
@@ -52,7 +53,7 @@ def test_normalized_fixes_constants(model, lab):
 def test_normalized_dual_fixed_point(model, lab):
     # nu_U(L_0 H) = nu_U(H) for smooth random H
     pot = lab.potential(0.0)
-    M = assemble_transfer(model, lab.grid, 0.0, normalized=True, potential=pot)
+    M = assemble_transfer(model, lab.grid, 0.0, potential=pot)
     sol = lab.rpf(0.0)
     w_U = (sol.nu * sol.h).reshape(-1)
     rng = np.random.default_rng(3)
@@ -150,6 +151,16 @@ def test_dense_leading_rejects_complex_leading_pair():
         dense_leading(rot)
 
 
+def test_dense_leading_rejects_a_zero_or_non_finite_matrix():
+    # M = 0 passed the residual check as 0 <= 0 and then divided 0 by 0 with a
+    # RuntimeWarning; a matrix with overflowed weights reached LAPACK's LinAlgError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for M in (np.zeros((4, 4)), np.full((4, 4), np.inf), np.diag([1.0, np.nan, 0.5])):
+            with pytest.raises(NoConvergence):
+                dense_leading(M)
+
+
 def test_normalize_two_paths_agree(model, lab):
     # f^(a) from the potential object vs the raw formula recomputed here
     a = 0.02
@@ -238,7 +249,7 @@ def test_pressure_consistency(model, lab):
         s = lab.delta + a
         raw = rpf_solve(model, lab.grid, a, delta=lab.delta).lam
         pot = lab.potential(a)
-        Mn = assemble_transfer(model, lab.grid, complex(a, 0.0), normalized=True, potential=pot)
+        Mn = assemble_transfer(model, lab.grid, complex(a, 0.0), potential=pot)
         eig = np.abs(np.linalg.eigvals(Mn)).max()
         assert abs(np.log(raw) - (np.log(eig) + np.log(lab.rpf(a).lam))) <= 1e-9
 
