@@ -39,6 +39,20 @@ def factorize(q):
     return fac
 
 
+def central_scalars(q):
+    """The scalars s_a (a = 0, ..., nz - 1) of the central elements z_a = s_a I of SL2(Z/q)
+    outside <-I>: s_a = -1 mod the odd primes p_b of q (all but the largest, b ascending)
+    with bit b of a set, and 1 mod the rest of q, so z_a z_b = z_(a xor b) and
+    nz = 2^(r - 1) for r >= 1 odd primes (nz = 1 for q = 1, prime q and q = 2p)."""
+    odd = [p for p, _ in factorize(q) if p > 2][:-1]
+    scalars = []
+    for a in range(2 ** len(odd)):
+        d = int(np.prod([p for b, p in enumerate(odd) if a >> b & 1]))
+        e = q // d * pow(q // d, -1, d)  # 1 mod d, 0 mod q / d
+        scalars.append((1 - 2 * e) % q)
+    return scalars
+
+
 def sl2_order(q):
     order = 1
     for p, _ in factorize(q):
@@ -125,16 +139,24 @@ class GroupModQ:
 
     def coset_coords(self):
         """(cells, t, i) for c = [[-1, -1], [0, -1]] of order o (cached): element g = cells[t, i]
-        is c^t k_i, t[g] and i[g] are its coordinates, k_0 = e (the smallest element of <c>)
-        and k_1 < k_2 < ... are the smallest elements of the other cosets <c> g; act works in them."""
+        is c^t k_i, and t[g] and i[g] are its coordinates; act works in them.  The m
+        representatives run by the central scalars z_a of central_scalars(q): with m' = m / nz,
+        k_(a m' + i) = z_a k_i, k_0 = e (the smallest element of <c>) and k_1 < ... < k_(m'-1)
+        the smallest elements of the other cosets <c, z_1, ..., z_(nz-1)> g."""
         if self._coords is None:
             c = np.array([[-1, -1], [0, -1]])
             left_c = self.index_of((c @ self.elems.reshape(-1, 2, 2)).reshape(-1, 4))
             low, power = np.arange(self.order), left_c  # power[g] = index of c^t g, t = 1, 2, ...
             while power[self.identity] != self.identity:
                 low, power = np.minimum(low, power), left_c[power]
+            # left_z[a - 1][g] = index of z_a g; low is constant on <c>-cosets, so this takes the
+            # minimum over <c> z_1 g, ..., <c> z_(nz-1) g as well
+            left_z = [self.index_of(s * self.elems) for s in central_scalars(self.q)[1:]]
+            for z in left_z:
+                low = np.minimum(low, low[z])
             reps = np.flatnonzero(low == np.arange(self.order))
-            cells = [np.concatenate([[self.identity], reps[reps != self.identity]])]
+            reps = np.concatenate([[self.identity], reps[reps != self.identity]])
+            cells = [np.concatenate([reps] + [z[reps] for z in left_z])]
             while left_c[cells[-1][0]] != self.identity:
                 cells.append(left_c[cells[-1]])
             cells = np.stack(cells)
@@ -166,10 +188,15 @@ class GroupModQ:
         """(mu * phi)(g) = sum_h mu(h) phi(g h^{-1}) for a dense weight vector."""
         if weights.shape[0] != self.order or phi.shape[-1] != self.order:
             raise ModulusMismatch("measure and function live on different groups")
+        # group axis first, so that an atom gathers whole rows into one reused buffer
+        phi = np.ascontiguousarray(np.moveaxis(phi, -1, 0), dtype=np.result_type(weights, phi))
+        buf = np.empty_like(phi)
         out = np.zeros_like(phi, dtype=complex)
         for h in np.flatnonzero(weights):
-            out += weights[h] * phi[..., self.act(h)]
-        return out
+            np.take(phi, self.act(h), axis=0, out=buf, mode="clip")
+            np.multiply(weights[h], buf, out=buf)
+            out += buf
+        return np.moveaxis(out, 0, -1)
 
 
 def _encode_mats(flat, q):

@@ -121,8 +121,10 @@ def cayley_gap(S, group, seed=0):  # seed is unread; perfbench's expansion workl
     off the constants.  Adjacency commutes with left translation by the c of
     group.coset_coords(), so <c>'s characters chi split it into m x m blocks (block
     o - chi conjugate to block chi) whose entry (j, i) sums exp(2 pi i chi t / o) over
-    the neighbours k_j s^{-1} = c^t k_i.  Block 0's top must be the degree and the
-    lifted lambda_2 eigenvector must pass one adjacency residual check."""
+    the neighbours k_j s^{-1} = c^t k_i.  It commutes with the central z_a too, so
+    _central_fold splits each block into nz blocks of size m' = m / nz, built from
+    rows j < m' and solved in one stack.  Block (0, 0)'s top must be the degree and
+    the lifted lambda_2 eigenvector must pass one adjacency residual check."""
     if group.order <= 2:
         raise GroupTooSmall(f"SL2(Z/{group.q}) has order {group.order}; a Cayley gap needs at least 3 elements")
     _block_cells(group)  # the size cap of both <c>-block solvers, checked before the closure
@@ -133,22 +135,29 @@ def cayley_gap(S, group, seed=0):  # seed is unread; perfbench's expansion workl
     deg = len(gens)
     cells, t_of, i_of = group.coset_coords()
     o, m = cells.shape
-    nb = np.stack([group.act(s)[cells[0]] for s in gens], axis=1)  # index of k_j s^{-1}
-    entry, t = (np.arange(m)[:, None] * m + i_of[nb]).ravel(), t_of[nb].ravel()
+    nz = len(congruence.central_scalars(group.q))
+    rows = m // nz
+    nb = np.stack([group.act(s)[cells[0, :rows]] for s in gens], axis=1)  # index of k_j s^{-1}, j < m'
+    entry, t = (np.arange(rows)[:, None] * m + i_of[nb]).ravel(), t_of[nb].ravel()
     roots = np.exp(2j * np.pi * np.arange(o) / o)
+    size = rows * m
 
     def block(chi):
         phase = roots[chi * t % o]
-        return (np.bincount(entry, phase.real, m * m) + 1j * np.bincount(entry, phase.imag, m * m)).reshape(m, m)
+        return (np.bincount(entry, phase.real, size) + 1j * np.bincount(entry, phase.imag, size)).reshape(rows, m)
 
-    tops = [np.linalg.eigvalsh(block(chi))[-2:] for chi in range(o // 2 + 1)]
+    blocks = np.empty((o // 2 + 1, nz, rows, rows), dtype=complex)  # folded chi by chi: no unfolded stack
+    for chi in range(o // 2 + 1):
+        blocks[chi], signs = _central_fold(block(chi), nz)
+    tops = np.linalg.eigvalsh(blocks.reshape(-1, rows, rows))[:, -2:]  # block (chi, eps) at row chi nz + eps
     if not abs(tops[0][-1] - deg) <= RESIDUAL_TOL * deg:
         raise NoConvergence(f"top of block 0 is {tops[0][-1]:.17g}, not the degree {deg}")
-    second = [tops[0][-2]] + [top[-1] for top in tops[1:]]  # block 0's top is the constants
-    chi = int(np.argmax(second))
-    lam2 = float(second[chi])
+    second = [tops[0][-2]] + [top[-1] for top in tops[1:]]  # block (0, 0)'s top is the constants
+    chi, eps = divmod(int(np.argmax(second)), nz)
+    lam2 = float(second[chi * nz + eps])
+    vec = np.linalg.eigh(blocks[chi, eps])[1][:, -2 if chi == eps == 0 else -1]
     phi = np.empty(group.order, dtype=complex)
-    phi[cells] = roots[chi * np.arange(o) % o][:, None] * np.linalg.eigh(block(chi))[1][:, -2 if chi == 0 else -1]
+    phi[cells] = roots[chi * np.arange(o) % o][:, None] * np.kron(signs[eps], vec) / np.sqrt(nz)
     residual = float(np.linalg.norm(sum(phi[group.act(s)] for s in gens) - lam2 * phi)) / np.sqrt(o)
     if not residual <= RESIDUAL_TOL * deg:
         raise NoConvergence(f"lambda_2 block eigenvector residual {residual:.3e} exceeds {RESIDUAL_TOL:g} * {deg}")
@@ -287,8 +296,10 @@ def conv_opnorm(group, weights, projector, svd_cap=SVD_ORDER):  # svd_cap is unr
     average over normal subgroups), so that the operator is phi -> P(weights) * phi.
     It commutes with left translation by the c of group.coset_coords(); the Fourier
     transform over <c> splits it into m x m blocks (at most MAX_BLOCK_ENTRIES
-    entries, else TooLarge), whose largest singular value is the norm.  Lifted to
-    the group, its singular vector must attain the norm, else NoConvergence.  Real
+    entries, else TooLarge), and _central_fold splits each of those by the central
+    z_a into nz blocks of size m' = m / nz, of which only the m' columns k_j, j < m',
+    are filled.  The largest singular value of the folded blocks is the norm.  Lifted
+    to the group, its singular vector must attain the norm, else NoConvergence.  Real
     (projected) weights keep real arithmetic: blocks chi <= o/2 only, from one rfft,
     since block o - chi is then the conjugate of block chi, with the same singular
     values.
@@ -296,27 +307,46 @@ def conv_opnorm(group, weights, projector, svd_cap=SVD_ORDER):  # svd_cap is unr
     n = group.order
     cells = _block_cells(group)
     o, m = cells.shape
-    # F[t, j, i] = P(weights)(k_j^{-1} c^t k_i); transformed, F[chi] is block chi transposed
+    nz = len(congruence.central_scalars(group.q))
+    cols = m // nz
+    # F[t, j, i] = P(weights)(k_j^{-1} c^t k_i), j < m'; transformed, F[chi] is block chi's
+    # first m' columns, transposed
     pw = projector(weights)
-    F = np.empty((o, m, m), dtype=pw.dtype)
+    F = np.empty((o, cols, m), dtype=pw.dtype)
     inv = group.inv_perm()
     pw_inv, inv_cells = pw[inv], inv[cells]
-    for j, k_inv in enumerate(inv[cells[0]]):  # k_j^{-1} g = (g^{-1} k_j)^{-1}
+    for j, k_inv in enumerate(inv[cells[0, :cols]]):  # k_j^{-1} g = (g^{-1} k_j)^{-1}
         F[:, j, :] = pw_inv[group.act(k_inv)[inv_cells]]
     if np.iscomplexobj(F):
         np.fft.fft(F, axis=0, out=F)
     else:
         F = np.fft.rfft(F, axis=0)
-    chi = int(np.argmax(np.linalg.svd(F, compute_uv=False)[:, 0]))
-    u, sv, _ = np.linalg.svd(F[chi])
+    F, signs = _central_fold(F, nz)
+    chi, eps = divmod(int(np.argmax(np.linalg.svd(F.reshape(-1, cols, cols), compute_uv=False)[:, 0])), nz)
+    u, sv, _ = np.linalg.svd(F[chi, eps])
     del F  # before convolve_fn fills the permutation cache
     sigma = float(sv[0])
     phi = np.empty(n, dtype=complex)
-    phi[cells] = np.exp(2j * np.pi * chi * np.arange(o) / o)[:, None] * np.conj(u[:, 0]) / np.sqrt(o)
+    lifted = np.kron(signs[eps], np.conj(u[:, 0])) / np.sqrt(nz)
+    phi[cells] = np.exp(2j * np.pi * chi * np.arange(o) / o)[:, None] * lifted / np.sqrt(o)
     attained = float(np.linalg.norm(projector(group.convolve_fn(weights, phi))))
     if not abs(attained - sigma) <= RESIDUAL_TOL * sigma:
         raise NoConvergence(f"block singular vector attains {attained:.17g}, not the block norm {sigma:.17g}")
     return sigma
+
+
+def _central_fold(blocks, nz):
+    """Split blocks commuting with the central z_a of congruence.central_scalars.  Given the
+    first m' = m / nz rows (..., m', m) of blocks B[(a, i), (b, j)] = X_(a xor b)[i, j],
+    indexed a m' + i, returns the (..., nz, m', m') stack of Y_eps = sum_d h[eps, d] X_d
+    and the signs h[eps, d] = (-1)^|eps & d|.  The spectra of Y_0, ..., Y_(nz-1) together
+    are B's, and a vector v of Y_eps lifts to B as kron(h[eps], v) / sqrt(nz)."""
+    *lead, rows, m = blocks.shape
+    signs = (-1) ** np.array([[bin(eps & d).count("1") for d in range(nz)] for eps in range(nz)])
+    split = blocks.reshape(*lead, rows, nz, m // nz)
+    if nz == 1:  # a view: nothing to add, and no -0.0 turned into 0.0
+        return split.swapaxes(-3, -2), signs
+    return np.einsum("ed,...rdi->...eri", signs, split), signs
 
 
 def _block_cells(group):

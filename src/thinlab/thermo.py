@@ -76,12 +76,14 @@ def assemble_transfer(model, grid, xi, potential=None):
     k, i, j, u = grid.branches
     v = model.inv_branch(j, u)
     tau = model.tau(j, v)
-    if potential is None:
-        w = np.exp(xi * tau)
-    else:
-        w = np.exp(potential.f_step(j, k, v, u) + 1j * xi.imag * tau)
     M = np.zeros((N * m, N, m), dtype=complex)
-    M[k * m + i, j] += w[:, None] * grid.bary_matrix(j, v)
+    # weights that overflow make M non-finite, which dense_leading refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        if potential is None:
+            w = np.exp(xi * tau)
+        else:
+            w = np.exp(potential.f_step(j, k, v, u) + 1j * xi.imag * tau)
+        M[k * m + i, j] += w[:, None] * grid.bary_matrix(j, v)
     M = M.reshape(N * m, N * m)
     if np.abs(M.imag).max() == 0.0:
         return M.real.copy()

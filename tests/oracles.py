@@ -525,6 +525,38 @@ def conv_opnorm_lanczos(group, weights, projector, seed=0):
     return float(np.sqrt(max(lam, 0.0)))
 
 
+def cayley_blocks_unfolded(group, gens):
+    """The m x m <c>-character blocks chi = 0, ..., o/2 of the Cayley adjacency on `gens`,
+    every row built and none split by the centre: entry (j, i) of block chi sums
+    exp(2 pi i chi t / o) over the neighbours k_j s^{-1} = c^t k_i.  An oracle for the
+    folded blocks of expander.cayley_gap."""
+    cells, t_of, i_of = group.coset_coords()
+    o, m = cells.shape
+    mats = group.elems.reshape(-1, 2, 2)
+    nb = group.index_of((mats[cells[0]][:, None] @ _adjugate(mats[list(gens)])[None]).reshape(m, -1, 4))
+    entry, t = (np.arange(m)[:, None] * m + i_of[nb]).ravel(), t_of[nb].ravel()
+    blocks = np.zeros((o // 2 + 1, m * m), dtype=complex)
+    for chi in range(o // 2 + 1):
+        np.add.at(blocks[chi], entry, np.exp(2j * np.pi * (chi * t % o) / o))
+    return blocks.reshape(-1, m, m)
+
+
+def conv_blocks_unfolded(group, weights, projector):
+    """The o transposed m x m <c>-character blocks of phi -> P(weights) * phi, every
+    column k_j filled and none split by the centre: F[t, j, i] = P(weights)(k_j^{-1} c^t k_i),
+    Fourier transformed over t.  An oracle for the folded blocks of expander.conv_opnorm."""
+    cells = group.coset_coords()[0]
+    o, m = cells.shape
+    mats = group.elems.reshape(-1, 2, 2)
+    prods = _adjugate(mats[cells[0]])[None, :, None] @ mats[cells][:, None, :]  # [t, j, i] = k_j^{-1} c^t k_i
+    return np.fft.fft(projector(weights)[group.index_of(prods.reshape(o, m, m, 4))].astype(complex), axis=0)
+
+
+def _adjugate(mats):
+    """The inverses of (..., 2, 2) matrices of determinant 1, unreduced."""
+    return np.stack([mats[..., 1, 1], -mats[..., 0, 1], -mats[..., 1, 0], mats[..., 0, 0]], axis=-1).reshape(mats.shape)
+
+
 def lip_quotient_pairs_per_draw(model, rng, depths, samples_per_depth):
     """symbolic.lip_quotient_pairs with each symbol's successors looked up again
     at every draw; the draws from rng must be the same, in the same order."""

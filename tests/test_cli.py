@@ -199,8 +199,10 @@ def test_rpf_far_from_delta_keeps_a_positive_h(config, tmp_path, capsys):
 
 # a = 800: the weights underflow, so M = 0 and its leading pair is 0 with a zero h;
 # a = 30: the leading eigenvalue is -5.5e-33 and h changes sign.  Both exited 0.
-# a = -800: the weights overflow, so M holds inf and nan.  It exited 2 with LinAlgError.
-@pytest.mark.parametrize("a", ["800", "30", "-800"])
+# a = -800: the weights overflow, so M holds inf and nan.  It exited 2 with LinAlgError,
+# and printed numpy's overflow RuntimeWarnings before its message.
+@pytest.mark.parametrize("a", ["800", "30",
+                               pytest.param("-800", marks=pytest.mark.filterwarnings("error::RuntimeWarning"))])
 def test_rpf_without_a_perron_pair_exits_3(config, tmp_path, capsys, a):
     out = tmp_path / "out"
     assert main(["rpf", "--config", config, "--a", a, "--out", str(out)]) == 3

@@ -212,6 +212,33 @@ def test_fiber_perms_match_full_group_products(q, n_sampled, model, lab):
         assert np.array_equal(perm, fiber_perms_full_group(g, c)[1])
 
 
+@pytest.mark.parametrize("q, nz", [(1, 1), (5, 1), (6, 1), (15, 2), (35, 2)])
+def test_coset_representatives_run_by_the_centre(q, nz):
+    # k_(a m' + i) = z_a k_i for the central z_a = s_a I, by explicit scalar products mod q
+    g = GroupModQ.build(q)
+    cells, t, i = g.coset_coords()
+    scalars = cg.central_scalars(q)
+    assert len(scalars) == nz
+    largest = max([p for p, _ in cg.factorize(q)], default=1)
+    for a, s in enumerate(scalars):
+        assert s % largest == 1 % largest
+        for b, s_b in enumerate(scalars):
+            assert s * s_b % q == scalars[a ^ b]
+    o, m = cells.shape
+    mp = m // nz
+    assert mp * nz == m
+    assert cells[0, 0] == g.identity
+    assert np.array_equal(np.sort(cells, axis=None), np.arange(g.order))
+    assert np.array_equal(cells[t, i], np.arange(g.order))
+    reps = g.elems[cells[0]]
+    for a, s in enumerate(scalars):
+        assert np.array_equal(reps[a * mp:(a + 1) * mp], s * reps[:mp] % q)
+    # after e, the first run ascends through the smallest elements of the cosets
+    # <c, z_1, ..., z_(nz-1)> k_i, which are the columns i, i + m', ... of cells
+    assert np.all(np.diff(cells[0, 1:mp]) > 0)
+    assert all(cells[0, j] == cells[:, j::mp].min() for j in range(1, mp))
+
+
 def test_act_looks_up_one_product_per_coset(monkeypatch):
     # with the coordinates built, one act at q = 15 looks up m = 2880 / 30 = 96
     # matrices, not one per element

@@ -29,9 +29,11 @@ from oracles import (
     approx_residuals_per_tail,
     build_measures_fresh,
     build_nu1_chains,
+    cayley_blocks_unfolded,
     cayley_lambda2_power,
     closure_size_bfs,
     constant_function,
+    conv_blocks_unfolded,
     conv_opnorm_dense,
     conv_opnorm_lanczos,
     min_nontrivial_irrep_dim,
@@ -477,24 +479,88 @@ def test_conv_opnorm_real_weights_match_complex(groups, q):
     assert abs(ex.conv_opnorm(g, weights, cg.mean_zero_projector) - want) <= 1e-12 * want
 
 
-@pytest.mark.parametrize("q", [6, 13])
-def test_conv_opnorm_real_weights_take_half_the_blocks(groups, monkeypatch, q):
-    # blocks chi and o - chi of a real measure are conjugate: o // 2 + 1 block SVDs instead of o
-    g = groups(q)
-    o, m = g.coset_coords()[0].shape
-    shapes = []
-    svd = np.linalg.svd
+def _recorded_stacks(monkeypatch, name):
+    """The 3-d stacks handed to np.linalg.<name>, recorded as they are solved."""
+    stacks = []
+    solve = getattr(np.linalg, name)
 
     def recorded(a, *args, **kwargs):
         if a.ndim == 3:
-            shapes.append(a.shape)
-        return svd(a, *args, **kwargs)
+            stacks.append(np.array(a))
+        return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recorded)
+    monkeypatch.setattr(np.linalg, name, recorded)
+    return stacks
+
+
+@pytest.mark.parametrize("q", [6, 13, 15])
+def test_conv_opnorm_real_weights_take_half_the_blocks(groups, monkeypatch, q):
+    # blocks chi and o - chi of a real measure are conjugate: o // 2 + 1 characters instead
+    # of o, each split by the centre into nz blocks of size m' = m / nz (nz = 2 at q = 15)
+    g = groups(q)
+    o, m = g.coset_coords()[0].shape
+    nz = len(cg.central_scalars(q))
+    assert nz == (2 if q == 15 else 1)
+    stacks = _recorded_stacks(monkeypatch, "svd")
     weights = _random_measure(g, 50, q)
     ex.conv_opnorm(g, weights.real, cg.mean_zero_projector)
     ex.conv_opnorm(g, weights, cg.mean_zero_projector)
-    assert shapes == [(o // 2 + 1, m, m), (o, m, m)]
+    assert [a.shape for a in stacks] == [((o // 2 + 1) * nz, m // nz, m // nz), (o * nz, m // nz, m // nz)]
+
+
+def _spectra_match(folded, unfolded, scale):
+    # the sorted union of each character's nz folded spectra against its unfolded spectrum
+    folded = np.sort(folded.reshape(len(unfolded), -1), axis=1)
+    return np.abs(folded - np.sort(unfolded, axis=1)).max() <= 1e-12 * scale
+
+
+def test_cayley_gap_folded_blocks_match_unfolded(model, groups, expansion, monkeypatch):
+    S = build_return_set(model, 0, 0, expansion["p"])
+    g = groups(15)
+    gens = ex.reduced_generator_indices(S, g)
+    stacks = _recorded_stacks(monkeypatch, "eigvalsh")
+    cayley_gap(S, g)
+    folded, = stacks
+    unfolded = cayley_blocks_unfolded(g, gens)
+    assert folded.shape == (2 * len(unfolded), 48, 48)
+    assert _spectra_match(np.linalg.eigvalsh(folded), np.linalg.eigvalsh(unfolded), len(gens))
+
+
+def test_conv_opnorm_folded_blocks_match_unfolded(groups, monkeypatch):
+    g = groups(15)
+    weights = _random_measure(g, 50, 15)
+    for w, proj in [(weights, cg.mean_zero_projector), (weights, cg.new_space_projector(g)),
+                    (weights.real, cg.mean_zero_projector)]:
+        stacks = _recorded_stacks(monkeypatch, "svd")
+        sigma = ex.conv_opnorm(g, w, proj)
+        folded, = stacks
+        unfolded = conv_blocks_unfolded(g, w, proj)[: len(folded) // 2]  # real weights: chi <= o/2
+        assert folded.shape == (2 * len(unfolded), 48, 48)
+        sv = np.linalg.svd(unfolded, compute_uv=False)
+        assert abs(sv.max() - sigma) <= 1e-12 * sigma
+        assert _spectra_match(np.linalg.svd(folded, compute_uv=False), sv, sigma)
+
+
+def test_central_fold_splits_an_xor_circulant_block():
+    # no square-free q whose blocks fit MAX_BLOCK_ENTRIES has three odd primes, so nz = 4
+    # is checked on a synthetic block B[(a, i), (b, j)] = X_(a xor b)[i, j]
+    from scipy.linalg import block_diag
+
+    nz, mp = 4, 5
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((nz, mp, mp)) + 1j * rng.standard_normal((nz, mp, mp))
+    X = X + X.conj().transpose(0, 2, 1)  # Hermitian, so eigenvalues are checked as well
+    B = np.block([[X[a ^ b] for b in range(nz)] for a in range(nz)])
+    Y, signs = ex._central_fold(B[:mp], nz)
+    assert Y.shape == (nz, mp, mp)
+    hadamard = np.kron(signs, np.eye(mp))
+    assert np.abs(hadamard @ B @ hadamard / nz - block_diag(*Y)).max() <= 1e-12 * np.abs(B).max()
+    assert np.abs(np.sort(np.linalg.eigvalsh(Y), axis=None) - np.linalg.eigvalsh(B)).max() <= 1e-12 * np.abs(B).max()
+    vals, vecs = np.linalg.eigh(Y)
+    for eps in range(nz):
+        lifted = np.kron(signs[eps], vecs[eps][:, 0]) / np.sqrt(nz)
+        assert abs(np.linalg.norm(lifted) - 1.0) <= 1e-12
+        assert np.abs(B @ lifted - vals[eps][0] * lifted).max() <= 1e-12 * np.abs(B).max()
 
 
 def _shift_eigvalsh(monkeypatch, shift):
