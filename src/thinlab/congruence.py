@@ -284,41 +284,59 @@ def cf_lip_norm(H, theta):
 class CongruenceOperator:
     """One step of the congruence transfer operator on depth-D cylinder functions.
 
-    The sparse cylinder shift S is one step of the prepend walk from the
-    cylinder anchors: the leaf that prepends j to the anchor of cylinder w sits
-    in row w, column (j, w[:-1]), with weight exp(f^(a) + i b tau) at its exact
-    preimage, so the operator is the depth-D locally constant surrogate of the
-    normalized operator (error O(theta^D) against the continuum one).  A step
-    permutes the fiber columns of each first-symbol block (the rows branch j
-    reads), then applies S, which at q = 1 is the base operator.  The permuted
-    fibers go to one buffer per operator, so two threads must not apply the
-    same operator at once.
+    A step is one step of the prepend walk from the cylinder anchors: cylinder
+    w = (u, x), u = w[:-1], reads row (j, u) for every branch j that may precede
+    w[0], with weight exp(f^(a) + i b tau) at the exact preimage of its anchor, so
+    the operator is the depth-D locally constant surrogate of the normalized
+    operator (error O(theta^D) against the continuum one); at q = 1 it is the
+    base operator.  The rows sharing u follow one another and read the same K
+    rows (j, u), k-th in the order of j (at depth 1, u is empty and K = N, with
+    zero weights where j may not precede x).  So a step `np.take`s the fiber
+    columns of each first-symbol block through its branch's group.act into
+    P[k, u], one contiguous run per (j, u[0]) (`runs`), then sums
+    out[u, x] = sum_k W[u, x, k] P[k, u] (W is `weights`) in one batched matmul.
+    P is one buffer per operator, so two threads must not apply the same
+    operator at once.
     """
 
     def __init__(self, lab, group, b, depth, a=0.0):
-        from scipy import sparse
         model = lab.model
         words, anchors = lab.anchors(depth)
         self.words = words
         self.shape = (len(words), group.order)
-        self._permuted = np.empty(self.shape, dtype=complex)
         walk = Walk(model, lab.potential(a), words[:, 0], anchors)
         rows = walk.step(range(model.N))
         cols = symbolic.word_rank(words, np.column_stack([walk.sym.astype(np.int8), words[rows, :-1]]), model.N)
-        # no (row, column) pair repeats; a row's columns ascend with the branch j
-        self.S = sparse.csr_matrix((np.exp(walk.f + 1j * float(b) * walk.tau), (rows, cols)),
-                                   shape=(len(words), len(words)))
-        bounds = np.searchsorted(words[:, 0], np.arange(model.N + 1))
-        self.blocks = [(bounds[j], bounds[j + 1], group.act(c)) for j, c in enumerate(group.reduce(model.gens))]
+        # row w = (u, x): u ranks w[:-1] (the rows of one u follow one another), x counts them
+        u = np.concatenate([[0], np.cumsum(np.any(words[1:, :-1] != words[:-1, :-1], axis=1))])
+        x = np.arange(len(words)) - np.searchsorted(u, u)
+        # k is the slot of branch j among the K symbols that the rows of u read
+        reads = np.zeros((u[-1] + 1, model.N), dtype=bool)
+        reads[u[rows], walk.sym] = True
+        k = np.cumsum(reads, axis=1)[u[rows], walk.sym] - 1
+        K = reads.sum(axis=1).max()
+        self.weights = np.zeros((u[-1] + 1, x[-1] + 1, K), dtype=complex)
+        self.weights[u[rows], x[rows], k] = np.exp(walk.f + 1j * float(b) * walk.tau)
+        self._permuted = np.empty((K, u[-1] + 1, group.order), dtype=complex)
+        # src[k, u] is the row that P[k, u] takes; a run is a stretch of P's rows (k-major)
+        # that takes consecutive rows of one first-symbol block
+        src = np.zeros((K, u[-1] + 1), dtype=np.int64)
+        src[k, u[rows]] = cols
+        src = src.ravel()
+        branch = words[src, 0]
+        starts = np.flatnonzero(np.concatenate([[True], (np.diff(src) != 1) | (np.diff(branch) != 0)]))
+        perms = [group.act(c) for c in group.reduce(model.gens)]
+        self.runs = [(lo, hi, src[lo], perms[branch[lo]]) for lo, hi in zip(starts, np.append(starts[1:], src.size))]
 
     def apply(self, values):
         values = np.asarray(values, dtype=complex)
         if values.shape != self.shape:
             raise ModulusMismatch(f"fiber values of shape {values.shape}, operator acts on {self.shape}")
+        rows = self._permuted.reshape(-1, self.shape[1])
         # mode="clip" (never clips: perms are in range) writes unbuffered into out
-        for lo, hi, perm in self.blocks:
-            np.take(values[lo:hi], perm, axis=1, out=self._permuted[lo:hi], mode="clip")
-        return self.S @ self._permuted
+        for lo, hi, src, perm in self.runs:
+            np.take(values[src:src + hi - lo], perm, axis=1, out=rows[lo:hi], mode="clip")
+        return np.matmul(self.weights, self._permuted.transpose(1, 0, 2)).reshape(self.shape)
 
     def apply_k(self, values, k):
         for _ in range(k):

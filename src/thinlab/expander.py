@@ -49,9 +49,16 @@ def build_return_set(model, y, z, p):
     return ReturnSet(elements)
 
 
+def _sorted_unique(indices, n):
+    """np.unique of indices in range(n), by marking them: np.unique imports numpy.ma."""
+    mark = np.zeros(n, dtype=bool)
+    mark[indices] = True
+    return np.flatnonzero(mark)
+
+
 def reduced_generator_indices(S, group):
     """Sorted distinct indices of the return-set elements reduced mod q."""
-    return np.unique(group.reduce(S.elements)).tolist()
+    return _sorted_unique(group.reduce(S.elements), group.order).tolist()
 
 
 def generates_full(S, group):
@@ -70,7 +77,7 @@ def generates_full(S, group):
         frontier = perms[-1][inside]  # H g^{-1}, disjoint from H
         while frontier.size:
             inside[frontier] = True
-            nxt = np.unique(np.concatenate([perm[frontier] for perm in perms]))
+            nxt = _sorted_unique(np.concatenate([perm[frontier] for perm in perms]), group.order)
             frontier = nxt[~inside[nxt]]
     closure = int(np.count_nonzero(inside))
     return closure == group.order, {"closure_size": closure}

@@ -342,7 +342,7 @@ def test_decomposition_table_csv(groups):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy costs a third of a second to import; only CongruenceOperator's sparse shift needs it
+    # scipy costs a third of a second to import, and no subcommand needs it
     code = "import sys, thinlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = str(Path(thinlab.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,

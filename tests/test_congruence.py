@@ -107,12 +107,13 @@ def test_apply_sentinel_matches_manual_sum(model, lab, groups):
         assert abs(out[i, 0] - acc) <= 1e-12 * max(1.0, abs(acc))
 
 
-@pytest.mark.parametrize("q", [1, 5, 15])
+@pytest.mark.parametrize("q, depth", [pytest.param(q, depth, id=str(q) if depth == 5 else f"{q}-depth{depth}")
+                                      for depth in (5, 2, 1) for q in (1, 5, 6, 15)])
 @pytest.mark.parametrize("xi", [0.0, 0.02 + 0.5j])
-def test_apply_matches_branch_oracle(lab, groups, q, xi):
-    # the block permutations and the sparse shift S give the branch sum
+def test_apply_matches_branch_oracle(lab, groups, q, xi, depth):
+    # the block permutations into P[k, u] and the batched matmul with the weights W[u, x, k]
+    # give the branch sum; at depth 1, u is empty and W is zero where j may not precede x
     g = groups(q)
-    depth = 5
     op = cg.CongruenceOperator(lab, g, xi.imag, depth, a=xi.real)
     rng = np.random.default_rng(q)
     x = rng.standard_normal(op.shape) + 1j * rng.standard_normal(op.shape)

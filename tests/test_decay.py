@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import thinlab
 
 from thinlab import CongruenceFunction, GroupModQ, decay_small_b, make_schedule, twisted_radius
 from thinlab import symbolic as sym
@@ -19,9 +26,15 @@ def _normalized_operator(lab, b, degree):
     return M, (sol.nu * sol.h).reshape(-1)
 
 
+def _dense_sentinel_operator(lab, depth):
+    """The q = 1 operator at xi = 0 as a dense real matrix, one column per unit input."""
+    op = CongruenceOperator(lab, GroupModQ.build(1), 0.0, depth)
+    return np.column_stack([op.apply(e[:, None])[:, 0] for e in np.eye(op.shape[0])]).real
+
+
 def _sentinel_rate(lab):
-    # second eigenvalue modulus of the q = 1 operator's depth-6 cylinder shift at xi = 0
-    return dense_leading(CongruenceOperator(lab, GroupModQ.build(1), 0.0, 6).S.toarray().real)[2]
+    # second eigenvalue modulus of the q = 1 operator at depth 6 and xi = 0
+    return dense_leading(_dense_sentinel_operator(lab, 6))[2]
 
 
 def _random_word_and_pair(model, rng, s):
@@ -109,6 +122,25 @@ def test_decay_curves_pass_and_agree(model, lab, groups, consts, expansion):
         assert all(n2 < n1 for n1, n2 in zip(curve.norms, curve.norms[1:]))
         factors.append(curve.per_step_factor)
     assert max(factors) <= 2.0 * min(factors)
+
+
+def test_decay_loads_no_scipy(expansion):
+    # scipy costs a third of a second to import, paid inside every decay run if the
+    # congruence operator needed it; its step is numpy permutations and one matmul
+    script = (
+        "import sys\n"
+        "from thinlab import GroupModQ, ThermoLab, decay_small_b, make_schedule\n"
+        "from thinlab.schottky import SchottkyData, build_markov_model\n"
+        "doc = {'generators': [[[2, 3], [1, 2]], [[6, 35], [1, 6]]]}\n"
+        "lab = ThermoLab(build_markov_model(SchottkyData.from_json_dict(doc)), degree=16)\n"
+        f"sched = make_schedule(5, lab.constants(), l={expansion['p'] + 1})\n"
+        "decay_small_b(lab, GroupModQ.build(5), sched, 0.02 + 0.5j, seed=1, depth=3)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(thinlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_monotone_norm_chain(model, lab, groups, consts):

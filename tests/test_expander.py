@@ -626,21 +626,23 @@ def test_block_solvers_load_no_scipy(expansion):
         "import numpy as np\n"
         "from thinlab import cayley_gap, build_return_set, GroupModQ\n"
         "from thinlab.congruence import mean_zero_projector\n"
-        "from thinlab.expander import conv_opnorm\n"
+        "from thinlab.expander import conv_opnorm, generates_full\n"
         "from thinlab.schottky import SchottkyData, build_markov_model\n"
         "doc = {'generators': [[[2, 3], [1, 2]], [[6, 35], [1, 6]]]}\n"
         "model = build_markov_model(SchottkyData.from_json_dict(doc))\n"
         "g = GroupModQ.build(7)\n"
-        f"cayley_gap(build_return_set(model, 0, 0, {expansion['p']}), g)\n"
+        f"S = build_return_set(model, 0, 0, {expansion['p']})\n"
+        "generates_full(S, g)\n"
+        "cayley_gap(S, g)\n"
         "w = np.zeros(g.order, dtype=complex)\n"
         "w[:5] = 1.0\n"
         "conv_opnorm(g, w, mean_zero_projector)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), 'numpy.ma' in sys.modules)\n"
     )
     src = str(Path(thinlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] False"
 
 
 def test_build_measures_loads_no_numpy_ma():
