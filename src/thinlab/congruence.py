@@ -43,7 +43,9 @@ def central_scalars(q):
     """The scalars s_a (a = 0, ..., nz - 1) of the central elements z_a = s_a I of SL2(Z/q)
     outside <-I>: s_a = -1 mod the odd primes p_b of q (all but the largest, b ascending)
     with bit b of a set, and 1 mod the rest of q, so z_a z_b = z_(a xor b) and
-    nz = 2^(r - 1) for r >= 1 odd primes (nz = 1 for q = 1, prime q and q = 2p)."""
+    nz = 2^(r - 1) for r >= 1 odd primes (nz = 1 for q = 1, prime q and q = 2p).  At even
+    q, -I is central and outside <c> but not folded: nz = 1 at q = 2p and 2, not 4, at
+    q = 30.  No return set of the example group generates at an even q."""
     odd = [p for p, _ in factorize(q) if p > 2][:-1]
     scalars = []
     for a in range(2 ** len(odd)):

@@ -125,13 +125,9 @@ def detect_expansion(model, qs):
 def cayley_gap(S, group, seed=0):  # seed is unread; perfbench's expansion workload still passes it
     """(lambda_1, lambda_2, eps) of the Cayley graph of the reduced return set:
     lambda_1 is the degree exactly, lambda_2 the largest (signed) adjacency eigenvalue
-    off the constants.  Adjacency commutes with left translation by the c of
-    group.coset_coords(), so <c>'s characters chi split it into m x m blocks (block
-    o - chi conjugate to block chi) whose entry (j, i) sums exp(2 pi i chi t / o) over
-    the neighbours k_j s^{-1} = c^t k_i.  It commutes with the central z_a too, so
-    _central_fold splits each block into nz blocks of size m' = m / nz, built from
-    rows j < m' and solved in one stack.  Block (0, 0)'s top must be the degree and
-    the lifted lambda_2 eigenvector must pass one adjacency residual check."""
+    off the constants, from one eigvalsh stack of the _char_blocks of the adjacency, the
+    convolution by the symmetric generators' counting measure.  Block (0, 0)'s top must be
+    the degree and the lifted lambda_2 eigenvector must pass one adjacency residual check."""
     if group.order <= 2:
         raise GroupTooSmall(f"SL2(Z/{group.q}) has order {group.order}; a Cayley gap needs at least 3 elements")
     _block_cells(group)  # the size cap of both <c>-block solvers, checked before the closure
@@ -144,28 +140,20 @@ def cayley_gap(S, group, seed=0):  # seed is unread; perfbench's expansion workl
     o, m = cells.shape
     nz = len(congruence.central_scalars(group.q))
     rows = m // nz
-    nb = np.stack([group.act(s)[cells[0, :rows]] for s in gens], axis=1)  # index of k_j s^{-1}, j < m'
-    entry, t = (np.arange(rows)[:, None] * m + i_of[nb]).ravel(), t_of[nb].ravel()
-    roots = np.exp(2j * np.pi * np.arange(o) / o)
-    size = rows * m
-
-    def block(chi):
-        phase = roots[chi * t % o]
-        return (np.bincount(entry, phase.real, size) + 1j * np.bincount(entry, phase.imag, size)).reshape(rows, m)
-
-    blocks = np.empty((o // 2 + 1, nz, rows, rows), dtype=complex)  # folded chi by chi: no unfolded stack
-    for chi in range(o // 2 + 1):
-        blocks[chi], signs = _central_fold(block(chi), nz)
-    tops = np.linalg.eigvalsh(blocks.reshape(-1, rows, rows))[:, -2:]  # block (chi, eps) at row chi nz + eps
+    nb = np.stack([group.act(s)[cells[0, :rows]] for s in gens], axis=1)  # k_j s^{-1}: distinct in each row j
+    F = np.zeros((o, rows, m))
+    F[t_of[nb], np.arange(rows)[:, None], i_of[nb]] = 1.0
+    F, signs = _char_blocks(F, nz)
+    tops = np.linalg.eigvalsh(F.reshape(-1, rows, rows))[:, -2:]  # block (chi, eps) at row chi nz + eps
     if not abs(tops[0][-1] - deg) <= RESIDUAL_TOL * deg:
         raise NoConvergence(f"top of block 0 is {tops[0][-1]:.17g}, not the degree {deg}")
     second = [tops[0][-2]] + [top[-1] for top in tops[1:]]  # block (0, 0)'s top is the constants
     chi, eps = divmod(int(np.argmax(second)), nz)
     lam2 = float(second[chi * nz + eps])
-    vec = np.linalg.eigh(blocks[chi, eps])[1][:, -2 if chi == eps == 0 else -1]
-    phi = np.empty(group.order, dtype=complex)
-    phi[cells] = roots[chi * np.arange(o) % o][:, None] * np.kron(signs[eps], vec) / np.sqrt(nz)
-    residual = float(np.linalg.norm(sum(phi[group.act(s)] for s in gens) - lam2 * phi)) / np.sqrt(o)
+    phi = _lift(cells, chi, signs[eps], np.linalg.eigh(F[chi, eps])[1][:, -2 if chi == eps == 0 else -1])
+    weights = np.zeros(group.order)
+    weights[gens] = 1.0
+    residual = float(np.linalg.norm(group.convolve_fn(weights, phi) - lam2 * phi))
     if not residual <= RESIDUAL_TOL * deg:
         raise NoConvergence(f"lambda_2 block eigenvector residual {residual:.3e} exceeds {RESIDUAL_TOL:g} * {deg}")
     return float(deg), lam2, float(1.0 - lam2 / deg)
@@ -300,46 +288,54 @@ def approx_transfer_check(lab, group, H, xi, r, s):
 def conv_opnorm(group, weights, projector, svd_cap=SVD_ORDER):  # svd_cap is unread; perfbench's tracer binds it
     """Operator norm of phi -> weights * phi restricted to the range of `projector`,
     which must commute with translations (the mean-zero and new-space projectors
-    average over normal subgroups), so that the operator is phi -> P(weights) * phi.
-    It commutes with left translation by the c of group.coset_coords(); the Fourier
-    transform over <c> splits it into m x m blocks (at most MAX_BLOCK_ENTRIES
-    entries, else TooLarge), and _central_fold splits each of those by the central
-    z_a into nz blocks of size m' = m / nz, of which only the m' columns k_j, j < m',
-    are filled.  The largest singular value of the folded blocks is the norm.  Lifted
-    to the group, its singular vector must attain the norm, else NoConvergence.  Real
-    (projected) weights keep real arithmetic: blocks chi <= o/2 only, from one rfft,
-    since block o - chi is then the conjugate of block chi, with the same singular
-    values.
+    average over normal subgroups), so that the operator is phi -> P(weights) * phi:
+    the largest singular value of the blocks of _char_blocks (at most
+    MAX_BLOCK_ENTRIES entries, else TooLarge).  Lifted to the group, its singular
+    vector must attain the norm, else NoConvergence.
     """
-    n = group.order
     cells = _block_cells(group)
     o, m = cells.shape
     nz = len(congruence.central_scalars(group.q))
     cols = m // nz
-    # F[t, j, i] = P(weights)(k_j^{-1} c^t k_i), j < m'; transformed, F[chi] is block chi's
-    # first m' columns, transposed
     pw = projector(weights)
     F = np.empty((o, cols, m), dtype=pw.dtype)
     inv = group.inv_perm()
     pw_inv, inv_cells = pw[inv], inv[cells]
     for j, k_inv in enumerate(inv[cells[0, :cols]]):  # k_j^{-1} g = (g^{-1} k_j)^{-1}
         F[:, j, :] = pw_inv[group.act(k_inv)[inv_cells]]
-    if np.iscomplexobj(F):
-        np.fft.fft(F, axis=0, out=F)
-    else:
-        F = np.fft.rfft(F, axis=0)
-    F, signs = _central_fold(F, nz)
+    F, signs = _char_blocks(F, nz)
     chi, eps = divmod(int(np.argmax(np.linalg.svd(F.reshape(-1, cols, cols), compute_uv=False)[:, 0])), nz)
     u, sv, _ = np.linalg.svd(F[chi, eps])
     del F  # before convolve_fn fills the permutation cache
     sigma = float(sv[0])
-    phi = np.empty(n, dtype=complex)
-    lifted = np.kron(signs[eps], np.conj(u[:, 0])) / np.sqrt(nz)
-    phi[cells] = np.exp(2j * np.pi * chi * np.arange(o) / o)[:, None] * lifted / np.sqrt(o)
+    phi = _lift(cells, chi, signs[eps], u[:, 0])
     attained = float(np.linalg.norm(projector(group.convolve_fn(weights, phi))))
     if not abs(attained - sigma) <= RESIDUAL_TOL * sigma:
         raise NoConvergence(f"block singular vector attains {attained:.17g}, not the block norm {sigma:.17g}")
     return sigma
+
+
+def _char_blocks(F, nz):
+    """<c>-character blocks of phi -> w * phi, which commutes with left translation by the c
+    of group.coset_coords(), from F[t, j, i] = w(k_j^{-1} c^t k_i), j < m' = m / nz: the
+    transform over t (in place for complex F) makes F[chi] block chi's first m' columns,
+    transposed, on phi(c^t k_i) = exp(2 pi i chi t / o) v_i; a real F takes chi <= o/2 only,
+    block o - chi being block chi's conjugate.  _central_fold splits each into nz blocks."""
+    if np.iscomplexobj(F):
+        np.fft.fft(F, axis=0, out=F)
+    else:
+        F = np.fft.rfft(F, axis=0)
+    return _central_fold(F, nz)
+
+
+def _lift(cells, chi, h, v):
+    """The unit vector on the group, of <c>-character chi, of a left singular vector or
+    eigenvector v of _char_blocks' transposed block F[chi, eps], with h = signs[eps]."""
+    o = len(cells)
+    phi = np.empty(cells.size, dtype=complex)
+    lifted = np.kron(h, np.conj(v)) / np.sqrt(len(h))
+    phi[cells] = np.exp(2j * np.pi * chi * np.arange(o) / o)[:, None] * lifted / np.sqrt(o)
+    return phi
 
 
 def _central_fold(blocks, nz):

@@ -526,6 +526,21 @@ def test_cayley_gap_folded_blocks_match_unfolded(model, groups, expansion, monke
     assert _spectra_match(np.linalg.eigvalsh(folded), np.linalg.eigvalsh(unfolded), len(gens))
 
 
+@pytest.mark.parametrize("q", [5, 15])
+def test_cayley_blocks_are_the_conv_blocks_of_the_counting_measure(model, groups, expansion, q):
+    # the adjacency phi -> sum_s phi(. s^{-1}) is the convolution by 1_S, so cayley_gap may
+    # take conv_opnorm's character blocks: each block chi <= o/2 has the same spectrum
+    S = build_return_set(model, 0, 0, expansion["p"])
+    g = groups(q)
+    gens = ex.reduced_generator_indices(S, g)
+    counting = np.zeros(g.order)
+    counting[gens] = 1.0
+    cayley = np.linalg.eigvalsh(cayley_blocks_unfolded(g, gens))
+    conv = np.linalg.eigvals(conv_blocks_unfolded(g, counting, lambda w: w)[: len(cayley)])
+    assert np.abs(conv.imag).max() <= 1e-12 * len(gens)
+    assert np.abs(np.sort(conv.real, axis=1) - cayley).max() <= 1e-12 * len(gens)
+
+
 def test_conv_opnorm_folded_blocks_match_unfolded(groups, monkeypatch):
     g = groups(15)
     weights = _random_measure(g, 50, 15)

@@ -1,7 +1,8 @@
 """Every public function, class, method and constant of thinlab has a reader:
 a reference from elsewhere in the package (not its definition or the
 `__init__.py` re-export), from the acceptance criteria, or from the benchmark,
-whose tracer names its targets in strings.  Unit tests do not count.  Readers
+whose tracer names its targets in strings.  Unit tests do not count.  Every
+private (single-underscore) module-level function and method has one too.  Readers
 are matched by name, so a name other code shares can only hide an unread
 definition, never report a read one.  The same readers must load every public
 attribute a class stores and every dataclass field, as `.name`, and every
@@ -19,9 +20,12 @@ MODULES = sorted((ROOT / "src" / "thinlab").glob("*.py"))
 # definitions each collector finds in this tree; a refactor may raise them
 MIN_STORED_ATTRIBUTES = 106
 MIN_CLASSMETHODS = 6
+MIN_PRIVATE_HELPERS = 23
 
 
-def _definitions(tree):
+def _definitions(tree, private=False):
+    """Module-level names and methods: the public ones, or with `private` the
+    single-underscore ones (dunders are protocol, not helpers)."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -30,6 +34,8 @@ def _definitions(tree):
                 names += [n.name for n in node.body if isinstance(n, ast.FunctionDef)]
         elif isinstance(node, ast.Assign):
             names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if private:
+        return [n for n in names if n.startswith("_") and not n.startswith("__")]
     return [n for n in names if not n.startswith("_")]
 
 
@@ -58,6 +64,14 @@ def test_every_public_name_has_a_reader():
     read = set().union(*(_references(p, strings) for p, strings in _reader_paths()))
     unread = [f"{p.name}:{name}" for p in MODULES for name in _definitions(ast.parse(p.read_text()))
               if name not in read]
+    assert not unread, unread
+
+
+def test_every_private_helper_has_a_reader():
+    helpers = [f"{p.name}:{name}" for p in MODULES for name in _definitions(ast.parse(p.read_text()), private=True)]
+    assert len(helpers) >= MIN_PRIVATE_HELPERS, helpers
+    read = set().union(*(_references(p, strings) for p, strings in _reader_paths()))
+    unread = [h for h in helpers if h.split(":")[1] not in read]
     assert not unread, unread
 
 
